@@ -15,22 +15,21 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import BehaviorId, catalog, spec_as_dict, traffic_requirement
+from .catalog import BehaviorId, catalog, spec_as_dict
 from .errors import Srv6BenchError
 from .orchestrator import (
     CampaignResult,
+    packet_for,
     parse_experiment_config,
     parse_testbed_config,
     run_campaign,
 )
-from .packet import build_test_packet, hexdump, Sid
+from .packet import hexdump
 from .ratemath import ETHERNET_HEADER_LEN, LinkSpec, line_packet_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
-
-log = logging.getLogger("srv6bench")
 
 
 def _cmd_lpr(args) -> int:
@@ -62,9 +61,7 @@ def _cmd_behaviors(args) -> int:
 
 def _cmd_packet(args) -> int:
     behavior = BehaviorId.parse(args.behavior)
-    req = traffic_requirement(behavior)
-    sids = [Sid.from_str("fc00:0:0:1::1"), Sid.from_str("fc00:0:0:2::1")]
-    template = build_test_packet(req, sids[: max(req.srh_sid_count, req.min_sids)])
+    template = packet_for(behavior)
     print(f"# {behavior.value}: {template.frame_size}-byte frame")
     print(hexdump(template))
     return EXIT_OK
@@ -79,19 +76,7 @@ def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
 
     plot_lines = ["behavior,run,tx_rate_pps,delivery_ratio,throughput_pps"]
     for entry in result.entries:
-        trace_doc = []
         for run_idx, trace in enumerate(entry.traces):
-            trace_doc.append(
-                [
-                    {
-                        "tx_rate_pps": t.tx_rate_pps,
-                        "delivery_ratio": t.delivery_ratio,
-                        "decision": t.decision,
-                        "repetitions": t.repetitions,
-                    }
-                    for t in trace.entries
-                ]
-            )
             for t in trace.entries:
                 plot_lines.append(
                     f"{entry.behavior.value},{run_idx},{t.tx_rate_pps:.2f},"
@@ -100,7 +85,8 @@ def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
         if entry.traces:
             safe = entry.behavior.value.replace(".", "_")
             (out_dir / f"trace_{safe}.json").write_text(
-                json.dumps(trace_doc, indent=2), encoding="utf-8"
+                json.dumps([t.records() for t in entry.traces], indent=2),
+                encoding="utf-8",
             )
     (out_dir / "plot_data.csv").write_text("\n".join(plot_lines) + "\n", encoding="utf-8")
 
@@ -179,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pkt = sub.add_parser("packet", help="hex-dump a behavior's test packet")
     p_pkt.add_argument("--behavior", required=True)
-    p_pkt.add_argument("--hex", action="store_true", help="accepted for symmetry; hex is the only output form")
     p_pkt.set_defaults(func=_cmd_packet)
 
     p_rep = sub.add_parser("report", help="re-render a stored campaign.json")

@@ -102,19 +102,20 @@ class FinderTrace:
     def distinct_points(self) -> int:
         return len({e.tx_rate_pps for e in self.entries})
 
+    def records(self) -> list[dict]:
+        """One plain dict per entry, the form every trace file is written in."""
+        return [
+            {
+                "tx_rate_pps": e.tx_rate_pps,
+                "delivery_ratio": e.delivery_ratio,
+                "decision": e.decision,
+                "repetitions": e.repetitions,
+            }
+            for e in self.entries
+        ]
+
     def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "tx_rate_pps": e.tx_rate_pps,
-                    "delivery_ratio": e.delivery_ratio,
-                    "decision": e.decision,
-                    "repetitions": e.repetitions,
-                }
-                for e in self.entries
-            ],
-            indent=2,
-        )
+        return json.dumps(self.records(), indent=2)
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,10 @@ def evaluate_point(
     )
 
 
-def _checked_evaluate(driver, rate, cfg, policy, trace):
+def _probe(driver, rate, cfg, policy, trace) -> bool:
+    """Evaluate one rate, record it in the trace and say whether it passed."""
     try:
-        return evaluate_point(
+        dr, reps = evaluate_point(
             driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy
         )
     except UnstableMeasurementError:
@@ -179,6 +181,25 @@ def _checked_evaluate(driver, rate, cfg, policy, trace):
         raise ExperimentAbortedError(
             f"driver failure at {rate:.0f} pps: {exc}", trace=trace
         ) from exc
+    passed = dr >= 1.0 - cfg.loss_threshold
+    trace.entries.append(TraceEntry(rate, dr, RAISE_LOW if passed else LOWER_HIGH, reps))
+    return passed
+
+
+def _bisect(driver, low, high, eps, cfg, policy, trace):
+    """Halve [low, high] around its middle until it is no wider than eps.
+
+    Returns (low, high, bottom_raised, top_lowered): the final bounds and
+    whether a probe ever moved each of them.
+    """
+    bottom_raised = top_lowered = False
+    while high - low > eps:
+        tx = (low + high) / 2.0
+        if _probe(driver, tx, cfg, policy, trace):
+            low, bottom_raised = tx, True
+        else:
+            high, top_lowered = tx, True
+    return low, high, bottom_raised, top_lowered
 
 
 def find_pdr(
@@ -197,27 +218,16 @@ def find_pdr(
     cfg = cfg or SearchConfig()
     policy = policy or TrialPolicy()
     lpr = line_packet_rate_pps
-    low = lpr * cfg.min_percent / 100.0
-    high = lpr * cfg.max_percent / 100.0
-    eps = lpr * cfg.accuracy_percent / 100.0
-    pass_mark = 1.0 - cfg.loss_threshold
-
     trace = FinderTrace()
-    top_lowered = False
-    bottom_raised = False
-    while high - low > eps:
-        tx = (low + high) / 2.0
-        dr, reps = _checked_evaluate(driver, tx, cfg, policy, trace)
-        if dr < pass_mark:
-            high = tx
-            top_lowered = True
-            decision = LOWER_HIGH
-        else:
-            low = tx
-            bottom_raised = True
-            decision = RAISE_LOW
-        trace.entries.append(TraceEntry(tx, dr, decision, reps))
-
+    low, high, bottom_raised, top_lowered = _bisect(
+        driver,
+        lpr * cfg.min_percent / 100.0,
+        lpr * cfg.max_percent / 100.0,
+        lpr * cfg.accuracy_percent / 100.0,
+        cfg,
+        policy,
+        trace,
+    )
     flags = []
     if trace.entries and not top_lowered:
         flags.append(FLAG_LINE_RATE_LIMITED)
@@ -238,50 +248,30 @@ def find_pdr_legacy(
     cfg = cfg or SearchConfig()
     policy = policy or TrialPolicy()
     lpr = line_packet_rate_pps
-    eps = lpr * cfg.accuracy_percent / 100.0
-    pass_mark = 1.0 - cfg.loss_threshold
     max_rate = lpr * cfg.max_percent / 100.0
-
     trace = FinderTrace()
     rate = lpr * cfg.min_percent / 100.0
-    last_passing = None
-    first_failing = None
-    while True:
-        dr, reps = _checked_evaluate(driver, rate, cfg, policy, trace)
-        if dr < pass_mark:
-            first_failing = rate
-            trace.entries.append(TraceEntry(rate, dr, LOWER_HIGH, reps))
-            break
-        last_passing = rate
-        trace.entries.append(TraceEntry(rate, dr, RAISE_LOW, reps))
-        if rate * 2.0 > max_rate:
-            # next doubling would overshoot; leave the window top unprobed
-            break
-        rate = rate * 2.0
-
-    if last_passing is None:
+    if not _probe(driver, rate, cfg, policy, trace):
         # the very first probe at the window floor already failed
-        return FinderResult(
-            RateInterval(first_failing, first_failing),
-            (FLAG_BELOW_SEARCH_FLOOR,),
-            trace,
-        )
-
-    low = last_passing
-    high = first_failing if first_failing is not None else max_rate
-    top_lowered = first_failing is not None
-    while high - low > eps:
-        tx = (low + high) / 2.0
-        dr, reps = _checked_evaluate(driver, tx, cfg, policy, trace)
-        if dr < pass_mark:
-            high = tx
-            top_lowered = True
-            decision = LOWER_HIGH
+        return FinderResult(RateInterval(rate, rate), (FLAG_BELOW_SEARCH_FLOOR,), trace)
+    # a doubling that would overshoot the window top is not probed
+    failed_at = None
+    while failed_at is None and rate * 2.0 <= max_rate:
+        if _probe(driver, rate * 2.0, cfg, policy, trace):
+            rate = rate * 2.0
         else:
-            low = tx
-            decision = RAISE_LOW
-        trace.entries.append(TraceEntry(tx, dr, decision, reps))
-    flags = () if top_lowered else (FLAG_LINE_RATE_LIMITED,)
+            failed_at = rate * 2.0
+
+    low, high, _, top_lowered = _bisect(
+        driver,
+        rate,
+        max_rate if failed_at is None else failed_at,
+        lpr * cfg.accuracy_percent / 100.0,
+        cfg,
+        policy,
+        trace,
+    )
+    flags = () if top_lowered or failed_at is not None else (FLAG_LINE_RATE_LIMITED,)
     return FinderResult(RateInterval(low, high), flags, trace)
 
 

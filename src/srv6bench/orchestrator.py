@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime
 import io
 import csv as csv_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Protocol, Sequence
 
 import yaml
@@ -59,139 +59,113 @@ ADDRESS_PLAN = {
 
 @dataclass(frozen=True)
 class ConfigRecipe:
-    """Rendered configuration procedure for one behavior on one forwarder."""
+    """Rendered configuration procedure for one behavior on one forwarder.
+
+    teardown undoes steps in reverse order: teardown[-1 - i] undoes steps[i].
+    """
 
     behavior: BehaviorId
     forwarder_kind: str
     steps: tuple[str, ...]
     teardown: tuple[str, ...]
 
-
-def _linux_routes(add: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    steps = tuple(f"ip {cmd.format(verb='add', **ADDRESS_PLAN)}" for cmd in add)
-    teardown = tuple(
-        f"ip {cmd.format(verb='del', **ADDRESS_PLAN)}" for cmd in reversed(add)
-    )
-    return steps, teardown
+    def undo(self, issued: int) -> tuple[str, ...]:
+        """Teardown of the first `issued` steps, the last one issued first."""
+        return self.teardown[len(self.steps) - issued:]
 
 
-# Command text per (recipe_key, forwarder_kind). Two entries per Linux
-# endpoint recipe: the SID route and the plain route used after the
-# behavior has run.
+def _ip(command: str) -> tuple[str, str]:
+    """(setup, undo) pair of an `ip` command template with a {verb} slot."""
+    command = f"ip {command}"
+    return command.replace("{verb}", "add"), command.replace("{verb}", "del")
+
+
+def _seg6local(action: str) -> tuple[str, str]:
+    """(setup, undo) pair of a Linux seg6local route for sid1."""
+    return _ip(f"-6 route {{verb}} {{sid1}}/128 encap seg6local action {action} dev {{iface_in}}")
+
+
+def _localsid(behavior: str) -> tuple[str, str]:
+    """(setup, undo) pair of a VPP local SID at sid1."""
+    return f"sr localsid address {{sid1}} behavior {behavior}", "sr localsid del address {sid1}"
+
+
+def _policy(segments: str) -> tuple[str, str]:
+    """(setup, undo) pair of a VPP SR policy with binding SID sid1."""
+    return f"sr policy add bsid {{sid1}} {segments}", "sr policy del bsid {sid1}"
+
+
+def _steer(traffic: str) -> tuple[str, str]:
+    """(setup, undo) pair of VPP steering into the sid1 policy."""
+    return f"sr steer {traffic} via bsid {{sid1}}", f"sr steer del {traffic} via bsid {{sid1}}"
+
+
+# recipe_key -> (setup, undo) command-template pairs in setup order. Linux
+# endpoint recipes have two routes: the SID route and the plain route used
+# after the behavior has run.
 _LINUX_RECIPES = {
-    "end": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End dev {iface_in}",
-        "-6 route {verb} {sid2}/128 via {nexthop6} dev {iface_out}",
-    ],
-    "end_t": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.T table {table} dev {iface_in}",
-        "-6 route {verb} {sid2}/128 table {table} via {nexthop6} dev {iface_out}",
-    ],
-    "end_x": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.X nh6 {nexthop6} dev {iface_in}",
-    ],
-    "end_dt6": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.DT6 table {table} dev {iface_in}",
-        "-6 route {verb} {inner_prefix6} table {table} via {nexthop6} dev {iface_out}",
-    ],
-    "end_dt4": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.DT4 vrftable {table} dev {iface_in}",
-        "route {verb} {inner_prefix4} table {table} via {nexthop4} dev {iface_out}",
-    ],
-    "end_dx6": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.DX6 nh6 {nexthop6} dev {iface_in}",
-    ],
-    "end_dx4": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.DX4 nh4 {nexthop4} dev {iface_in}",
-    ],
-    "end_dx2": [
-        "-6 route {verb} {sid1}/128 encap seg6local action End.DX2 oif {iface_out} dev {iface_in}",
-    ],
-    "h_insert": [
-        "-6 route {verb} {inner_prefix6} encap seg6 mode inline segs {sid1},{sid2} dev {iface_out}",
-    ],
-    "h_encaps": [
-        "-6 route {verb} {inner_prefix6} encap seg6 mode encap segs {sid1} dev {iface_out}",
-    ],
-    "h_encaps_l2": [
-        "-6 route {verb} {sid1}/128 encap seg6 mode l2encap segs {sid1} dev {iface_out}",
-    ],
-    "plain_ipv6": [
-        "-6 route {verb} {inner_prefix6} via {nexthop6} dev {iface_out}",
-    ],
-    "plain_ipv4": [
-        "route {verb} {inner_prefix4} via {nexthop4} dev {iface_out}",
-    ],
+    "end": (
+        _seg6local("End"),
+        _ip("-6 route {verb} {sid2}/128 via {nexthop6} dev {iface_out}"),
+    ),
+    "end_t": (
+        _seg6local("End.T table {table}"),
+        _ip("-6 route {verb} {sid2}/128 table {table} via {nexthop6} dev {iface_out}"),
+    ),
+    "end_x": (_seg6local("End.X nh6 {nexthop6}"),),
+    "end_dt6": (
+        _seg6local("End.DT6 table {table}"),
+        _ip("-6 route {verb} {inner_prefix6} table {table} via {nexthop6} dev {iface_out}"),
+    ),
+    "end_dt4": (
+        _seg6local("End.DT4 vrftable {table}"),
+        _ip("route {verb} {inner_prefix4} table {table} via {nexthop4} dev {iface_out}"),
+    ),
+    "end_dx6": (_seg6local("End.DX6 nh6 {nexthop6}"),),
+    "end_dx4": (_seg6local("End.DX4 nh4 {nexthop4}"),),
+    "end_dx2": (_seg6local("End.DX2 oif {iface_out}"),),
+    "h_insert": (
+        _ip("-6 route {verb} {inner_prefix6} encap seg6 mode inline segs {sid1},{sid2} dev {iface_out}"),
+    ),
+    "h_encaps": (
+        _ip("-6 route {verb} {inner_prefix6} encap seg6 mode encap segs {sid1} dev {iface_out}"),
+    ),
+    "h_encaps_l2": (
+        _ip("-6 route {verb} {sid1}/128 encap seg6 mode l2encap segs {sid1} dev {iface_out}"),
+    ),
+    "plain_ipv6": (_ip("-6 route {verb} {inner_prefix6} via {nexthop6} dev {iface_out}"),),
+    "plain_ipv4": (_ip("route {verb} {inner_prefix4} via {nexthop4} dev {iface_out}"),),
 }
 
 _VPP_RECIPES = {
     "end": (
-        ["sr localsid address {sid1} behavior end",
-         "ip route add {sid2}/128 via {nexthop6} {iface_out}"],
-        ["sr localsid del address {sid1}",
-         "ip route del {sid2}/128 via {nexthop6} {iface_out}"],
+        _localsid("end"),
+        _ip("route {verb} {sid2}/128 via {nexthop6} {iface_out}"),
     ),
     "end_t": (
-        ["sr localsid address {sid1} behavior end.t {table}",
-         "ip route add {sid2}/128 table {table} via {nexthop6} {iface_out}"],
-        ["sr localsid del address {sid1}",
-         "ip route del {sid2}/128 table {table} via {nexthop6} {iface_out}"],
+        _localsid("end.t {table}"),
+        _ip("route {verb} {sid2}/128 table {table} via {nexthop6} {iface_out}"),
     ),
-    "end_x": (
-        ["sr localsid address {sid1} behavior end.x {iface_out} {nexthop6}"],
-        ["sr localsid del address {sid1}"],
-    ),
+    "end_x": (_localsid("end.x {iface_out} {nexthop6}"),),
     "end_dt6": (
-        ["sr localsid address {sid1} behavior end.dt6 {table}",
-         "ip route add {inner_prefix6} table {table} via {nexthop6} {iface_out}"],
-        ["sr localsid del address {sid1}",
-         "ip route del {inner_prefix6} table {table} via {nexthop6} {iface_out}"],
+        _localsid("end.dt6 {table}"),
+        _ip("route {verb} {inner_prefix6} table {table} via {nexthop6} {iface_out}"),
     ),
     "end_dt4": (
-        ["sr localsid address {sid1} behavior end.dt4 {table}",
-         "ip route add {inner_prefix4} table {table} via {nexthop4} {iface_out}"],
-        ["sr localsid del address {sid1}",
-         "ip route del {inner_prefix4} table {table} via {nexthop4} {iface_out}"],
+        _localsid("end.dt4 {table}"),
+        _ip("route {verb} {inner_prefix4} table {table} via {nexthop4} {iface_out}"),
     ),
-    "end_dx6": (
-        ["sr localsid address {sid1} behavior end.dx6 {iface_out} {nexthop6}"],
-        ["sr localsid del address {sid1}"],
-    ),
-    "end_dx4": (
-        ["sr localsid address {sid1} behavior end.dx4 {iface_out} {nexthop4}"],
-        ["sr localsid del address {sid1}"],
-    ),
-    "end_dx2": (
-        ["sr localsid address {sid1} behavior end.dx2 {iface_out}"],
-        ["sr localsid del address {sid1}"],
-    ),
-    "h_insert": (
-        ["sr policy add bsid {sid1} next {sid1} next {sid2} insert",
-         "sr steer l3 {inner_prefix6} via bsid {sid1}"],
-        ["sr steer del l3 {inner_prefix6} via bsid {sid1}",
-         "sr policy del bsid {sid1}"],
-    ),
-    "h_encaps": (
-        ["sr policy add bsid {sid1} next {sid1} encap",
-         "sr steer l3 {inner_prefix6} via bsid {sid1}"],
-        ["sr steer del l3 {inner_prefix6} via bsid {sid1}",
-         "sr policy del bsid {sid1}"],
-    ),
-    "h_encaps_l2": (
-        ["sr policy add bsid {sid1} next {sid1} encap",
-         "sr steer l2 {iface_in} via bsid {sid1}"],
-        ["sr steer del l2 {iface_in} via bsid {sid1}",
-         "sr policy del bsid {sid1}"],
-    ),
-    "plain_ipv6": (
-        ["ip route add {inner_prefix6} via {nexthop6} {iface_out}"],
-        ["ip route del {inner_prefix6} via {nexthop6} {iface_out}"],
-    ),
-    "plain_ipv4": (
-        ["ip route add {inner_prefix4} via {nexthop4} {iface_out}"],
-        ["ip route del {inner_prefix4} via {nexthop4} {iface_out}"],
-    ),
+    "end_dx6": (_localsid("end.dx6 {iface_out} {nexthop6}"),),
+    "end_dx4": (_localsid("end.dx4 {iface_out} {nexthop4}"),),
+    "end_dx2": (_localsid("end.dx2 {iface_out}"),),
+    "h_insert": (_policy("next {sid1} next {sid2} insert"), _steer("l3 {inner_prefix6}")),
+    "h_encaps": (_policy("next {sid1} encap"), _steer("l3 {inner_prefix6}")),
+    "h_encaps_l2": (_policy("next {sid1} encap"), _steer("l2 {iface_in}")),
+    "plain_ipv6": (_ip("route {verb} {inner_prefix6} via {nexthop6} {iface_out}"),),
+    "plain_ipv4": (_ip("route {verb} {inner_prefix4} via {nexthop4} {iface_out}"),),
 }
+
+_RECIPES = {"linux": _LINUX_RECIPES, "vpp": _VPP_RECIPES}
 
 FORWARDER_KINDS = ("linux", "vpp", "sim")
 
@@ -203,34 +177,23 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
             f"{spec.id} is not measurable: no semantics/recipe"
         )
     if forwarder_kind == "sim":
-        return ConfigRecipe(
-            behavior=spec.id,
-            forwarder_kind="sim",
-            steps=(f"sim set-behavior {spec.id.value}",),
-            teardown=(f"sim clear-behavior {spec.id.value}",),
-        )
-    if forwarder_kind == "linux":
-        if not spec.linux_supported:
+        name = spec.id.value
+        pairs = ((f"sim set-behavior {name}", f"sim clear-behavior {name}"),)
+    elif forwarder_kind in _RECIPES:
+        if not getattr(spec, f"{forwarder_kind}_supported"):
             raise UnsupportedBehaviorError(
-                f"{spec.id} is not supported by the linux forwarder "
-                f"(catalog: linux_supported=False)"
+                f"{spec.id} is not supported by the {forwarder_kind} forwarder "
+                f"(catalog: {forwarder_kind}_supported=False)"
             )
-        steps, teardown = _linux_routes(_LINUX_RECIPES[spec.recipe_key])
-        return ConfigRecipe(spec.id, "linux", steps, teardown)
-    if forwarder_kind == "vpp":
-        if not spec.vpp_supported:
-            raise UnsupportedBehaviorError(
-                f"{spec.id} is not supported by the vpp forwarder "
-                f"(catalog: vpp_supported=False)"
-            )
-        setup, teardown = _VPP_RECIPES[spec.recipe_key]
-        return ConfigRecipe(
-            spec.id,
-            "vpp",
-            tuple(s.format(**ADDRESS_PLAN) for s in setup),
-            tuple(s.format(**ADDRESS_PLAN) for s in teardown),
-        )
-    raise ConfigError(f"unknown forwarder kind: {forwarder_kind!r}")
+        pairs = _RECIPES[forwarder_kind][spec.recipe_key]
+    else:
+        raise ConfigError(f"unknown forwarder kind: {forwarder_kind!r}")
+    return ConfigRecipe(
+        spec.id,
+        forwarder_kind,
+        tuple(setup.format(**ADDRESS_PLAN) for setup, _ in pairs),
+        tuple(undo.format(**ADDRESS_PLAN) for _, undo in reversed(pairs)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +567,19 @@ class CampaignResult:
         return buf.getvalue()
 
 
+def packet_for(
+    behavior: BehaviorId, packet: Optional[PacketOverrides] = None
+) -> PacketTemplate:
+    """Build a behavior's test packet on the address plan's SID list."""
+    req = traffic_requirement(behavior)
+    if packet and packet.inner_size is not None:
+        req = replace(req, inner_packet_size=packet.inner_size)
+    if packet and packet.inner_kind is not None:
+        req = replace(req, inner_kind=packet.inner_kind)
+    sid_plan = [Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"])]
+    return build_test_packet(req, sid_plan[: max(req.srh_sid_count, req.min_sids)])
+
+
 def resolve(
     behavior: BehaviorId,
     testbed: TestbedConfig,
@@ -611,20 +587,7 @@ def resolve(
 ) -> tuple[PacketTemplate, ConfigRecipe]:
     """Map a behavior to its test packet and configuration recipe."""
     recipe = recipe_for(behavior, testbed.forwarder_kind)
-    req = traffic_requirement(behavior)
-    if packet:
-        changes = {}
-        if packet.inner_size is not None:
-            changes["inner_packet_size"] = packet.inner_size
-        if packet.inner_kind is not None:
-            changes["inner_kind"] = packet.inner_kind
-        if changes:
-            from dataclasses import replace
-
-            req = replace(req, **changes)
-    sid_plan = [Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"])]
-    template = build_test_packet(req, sid_plan[: max(req.srh_sid_count, req.min_sids)])
-    return template, recipe
+    return packet_for(behavior, packet), recipe
 
 
 def default_behavior_configs() -> dict[BehaviorId, BehaviorConfig]:
@@ -639,8 +602,6 @@ def default_behavior_configs() -> dict[BehaviorId, BehaviorConfig]:
         adjacency=ADDRESS_PLAN["nexthop6"],
         interface=ADDRESS_PLAN["iface_out"],
     )
-    from dataclasses import replace
-
     return {
         BehaviorId.H_INSERT: replace(base, segments=(sid1, sid2)),
         BehaviorId.H_ENCAPS: replace(base, segments=(sid1,)),
@@ -687,10 +648,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every requested behavior sequentially against one testbed.
 
-    Per-behavior failures are recorded and the campaign continues;
-    configuration teardown always runs after a behavior's setup steps
-    were issued. executor and driver_factory are injection points for
-    tests (a recording mock, a scripted driver).
+    Per-behavior failures are recorded and the campaign continues. The
+    setup steps a behavior issued are always undone, last one first, and
+    a failed undo joins that behavior's error. executor and
+    driver_factory are injection points for tests (a recording mock, a
+    scripted driver).
     """
     executor = executor or _make_executor(testbed)
     driver_factory = driver_factory or _make_driver
@@ -702,23 +664,21 @@ def run_campaign(
         started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     for behavior in experiment.behaviors:
+        frame_size = lpr = recipe = None
+        issued = 0
+        measured = {}
+        errors = []
         try:
             template, recipe = resolve(behavior, testbed, experiment.packet)
-        except Srv6BenchError as exc:
-            result.entries.append(BehaviorResult(behavior=behavior, error=str(exc)))
-            continue
-
-        frame_size = template.frame_size
-        lpr = line_packet_rate(testbed.link, frame_size)
-        configured = False
-        try:
+            frame_size = template.frame_size
+            lpr = line_packet_rate(testbed.link, frame_size)
             for step in recipe.steps:
                 status, output = executor.execute(step)
                 if status != 0:
                     raise Srv6BenchError(
                         f"configuration step failed ({status}): {step}: {output}"
                     )
-            configured = True
+                issued += 1
             driver = driver_factory(behavior, template, testbed)
             validation = validate_pdr(
                 driver,
@@ -729,29 +689,28 @@ def run_campaign(
                 algorithm=algorithm,
             )
             last = validation.results[-1]
-            result.entries.append(
-                BehaviorResult(
-                    behavior=behavior,
-                    frame_size=frame_size,
-                    line_packet_rate_pps=lpr,
-                    interval=last.interval,
-                    flags=last.flags,
-                    stats=validation.stats,
-                    traces=tuple(r.trace for r in validation.results),
-                )
+            measured = dict(
+                interval=last.interval,
+                flags=last.flags,
+                stats=validation.stats,
+                traces=tuple(r.trace for r in validation.results),
             )
         except Srv6BenchError as exc:
-            result.entries.append(
-                BehaviorResult(
-                    behavior=behavior,
-                    frame_size=frame_size,
-                    line_packet_rate_pps=lpr,
-                    error=str(exc),
-                )
-            )
+            errors.append(str(exc))
         finally:
-            if configured:
-                for step in recipe.teardown:
-                    executor.execute(step)
+            if recipe is not None:
+                for step in recipe.undo(issued):
+                    status, output = executor.execute(step)
+                    if status != 0:
+                        errors.append(f"teardown step failed ({status}): {step}: {output}")
+        result.entries.append(
+            BehaviorResult(
+                behavior=behavior,
+                frame_size=frame_size,
+                line_packet_rate_pps=lpr,
+                error="; ".join(errors) or None,
+                **measured,
+            )
+        )
     result.finished_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return result

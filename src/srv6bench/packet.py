@@ -104,6 +104,10 @@ class IPv6Header:
     def __post_init__(self):
         if len(self.src) != 16 or len(self.dst) != 16:
             raise ValueError("IPv6 addresses must be 16 bytes")
+        if not (0 <= self.traffic_class <= 0xFF and 0 <= self.hop_limit <= 0xFF):
+            raise ValueError("traffic_class and hop_limit must be in 0..255")
+        if not 0 <= self.flow_label <= 0xFFFFF:
+            raise ValueError("flow_label must be in 0..2^20-1")
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,10 @@ class IPv4Header:
     def __post_init__(self):
         if len(self.src) != 4 or len(self.dst) != 4:
             raise ValueError("IPv4 addresses must be 4 bytes")
+        if not (0 <= self.ttl <= 0xFF and 0 <= self.tos <= 0xFF):
+            raise ValueError("ttl and tos must be in 0..255")
+        if not 0 <= self.identification <= 0xFFFF:
+            raise ValueError("identification must be in 0..65535")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from srv6bench.catalog import BehaviorId, catalog
 from srv6bench.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
+from srv6bench.orchestrator import parse_testbed_config, resolve
+from srv6bench.packet import hexdump
 
 EXPERIMENT = """
 behaviors: [End, H.Encaps]
@@ -84,6 +87,22 @@ class TestRun:
         tb.write_text(TESTBED)
         assert run_cmd(exp, tb, tmp_path / "o") == EXIT_PARTIAL
 
+    def test_frame_below_ethernet_minimum_is_a_per_behavior_error(self, tmp_path):
+        # a 40 B inner IPv4 packet makes a 54 B plain frame, too small for
+        # Ethernet; End's encapsulated frame is large enough
+        exp = tmp_path / "e.yaml"
+        exp.write_text("behaviors: [End, PlainIPv4]\nruns: 1\npacket: {inner_size: 40}\n")
+        tb = tmp_path / "t.yaml"
+        tb.write_text(TESTBED + "    PlainIPv4: 1000\n")
+        out = tmp_path / "o"
+        assert run_cmd(exp, tb, out) == EXIT_PARTIAL
+        end, plain = json.loads((out / "campaign.json").read_text())["behaviors"]
+        assert end["error"] is None and end["pdr_low_pps"] is not None
+        assert plain["frame_size"] == 54
+        assert "below Ethernet minimum" in plain["error"]
+        assert plain["pdr_low_pps"] is None
+        assert (out / "trace_End.json").exists()
+
 
 class TestOtherCommands:
     def test_behaviors_table(self, capsys):
@@ -107,6 +126,15 @@ class TestOtherCommands:
         text = capsys.readouterr().out
         assert "158-byte frame" in text
         assert "0000  " in text
+
+    @pytest.mark.parametrize(
+        "behavior", [s.id.value for s in catalog() if s.measured]
+    )
+    def test_packet_is_the_campaign_packet(self, behavior, capsys):
+        testbed = parse_testbed_config(TESTBED)
+        template, _ = resolve(BehaviorId.parse(behavior), testbed)
+        assert main(["packet", "--behavior", behavior]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1:] == hexdump(template).splitlines()
 
     def test_packet_unknown_behavior(self, capsys):
         assert main(["packet", "--behavior", "End.Nope"]) == EXIT_CONFIG

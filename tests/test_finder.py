@@ -270,6 +270,84 @@ class TestValidatePdr:
             assert r.interval.low_pps <= oracle <= r.interval.high_pps
 
 
+# (tx_rate_pps, decision, repetitions) of every probe on three noiseless
+# End models, recorded from the finders before they shared one bisection
+# loop. A change to either search's probe order shows up here.
+PINNED_TRACES = {
+    "mid_range": (
+        (900_000, {}),
+        [
+            (6188725.490196079, "lower-high", 1),
+            (3155637.254901961, "lower-high", 1),
+            (1639093.1372549022, "lower-high", 1),
+            (880821.0784313726, "lower-high", 1),
+            (501685.0490196079, "raise-low", 1),
+            (691253.0637254902, "raise-low", 5),
+            (786037.0710784314, "lower-high", 5),
+        ],
+        [
+            (122549.01960784315, "raise-low", 1),
+            (245098.0392156863, "raise-low", 1),
+            (490196.0784313726, "raise-low", 1),
+            (980392.1568627452, "lower-high", 1),
+            (735294.1176470589, "raise-low", 5),
+            (857843.137254902, "lower-high", 1),
+        ],
+    ),
+    "below_floor": (
+        (30_000, {"loss_at_capacity": 0.0}),
+        [
+            (6188725.490196079, "lower-high", 1),
+            (3155637.254901961, "lower-high", 1),
+            (1639093.1372549022, "lower-high", 1),
+            (880821.0784313726, "lower-high", 1),
+            (501685.0490196079, "lower-high", 1),
+            (312117.03431372554, "lower-high", 1),
+            (217333.02696078434, "lower-high", 1),
+        ],
+        [(122549.01960784315, "lower-high", 1)],
+    ),
+    "line_rate_limited": (
+        (2 * LPR_64, {}),
+        [
+            (6188725.490196079, "raise-low", 1),
+            (9221813.725490198, "raise-low", 1),
+            (10738357.843137257, "raise-low", 1),
+            (11496629.901960786, "raise-low", 1),
+            (11875765.93137255, "raise-low", 1),
+            (12065333.94607843, "raise-low", 1),
+            (12160117.953431372, "raise-low", 1),
+        ],
+        [
+            (122549.01960784315, "raise-low", 1),
+            (245098.0392156863, "raise-low", 1),
+            (490196.0784313726, "raise-low", 1),
+            (980392.1568627452, "raise-low", 1),
+            (1960784.3137254904, "raise-low", 1),
+            (3921568.6274509807, "raise-low", 1),
+            (7843137.254901961, "raise-low", 1),
+            (10049019.607843138, "raise-low", 1),
+            (11151960.784313727, "raise-low", 1),
+            (11703431.37254902, "raise-low", 1),
+            (11979166.666666668, "raise-low", 1),
+            (12117034.31372549, "raise-low", 1),
+            (12185968.137254901, "raise-low", 1),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_TRACES))
+@pytest.mark.parametrize(
+    "algorithm", [find_pdr, find_pdr_legacy], ids=["binary", "legacy"]
+)
+def test_probe_sequence_is_pinned(model, algorithm):
+    (capacity, kw), binary, legacy = PINNED_TRACES[model]
+    result = algorithm(sim_driver(capacity, **kw), LPR_64)
+    got = [(e.tx_rate_pps, e.decision, e.repetitions) for e in result.trace.entries]
+    assert got == (binary if algorithm is find_pdr else legacy)
+
+
 def test_trace_serializes_to_json():
     import json
 

@@ -280,6 +280,37 @@ class TestCampaign:
         assert result.partial
         assert "configuration step failed" in result.entries[0].error
 
+    def test_partial_setup_undoes_only_the_issued_steps(self):
+        class FailSecondStep(RecordingExecutor):
+            def execute(self, command):
+                super().execute(command)
+                return (1, "busy") if len(self.commands) == 2 else (0, "")
+
+        linux = BenchTestbedConfig(
+            forwarder_kind="linux",
+            link=LinkSpec(line_bit_rate_bps=10e9),
+            connection=SshConnection(host="sut.example"),
+        )
+        recipe = recipe_for(BehaviorId.END, "linux")
+        executor = FailSecondStep()
+        result = run_campaign(
+            ExperimentConfig(behaviors=(BehaviorId.END,), runs=1), linux, executor=executor
+        )
+        assert executor.commands == [*recipe.steps, recipe.teardown[-1]]
+        assert recipe.teardown[-1] == recipe.steps[0].replace(" add ", " del ")
+        assert "configuration step failed" in result.entries[0].error
+
+    def test_teardown_failure_is_recorded(self):
+        class FailTeardown(RecordingExecutor):
+            def execute(self, command):
+                super().execute(command)
+                return (1, "gone") if "clear-behavior" in command else (0, "")
+
+        experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=1)
+        result = run_campaign(experiment, sim_testbed(), executor=FailTeardown())
+        assert result.partial
+        assert "teardown step failed (1): sim clear-behavior End: gone" in result.entries[0].error
+
     def test_teardown_runs_even_when_the_search_dies(self):
         experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=1)
 

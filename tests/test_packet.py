@@ -375,3 +375,27 @@ def test_arbitrary_inner_sizes_round_trip(kind, size):
     t = build_test_packet(req, [SID1, SID2])
     assert decode(encode(t)) == t
     assert t.frame_size == 14 + 40 + 40 + size
+
+
+@pytest.mark.parametrize(
+    "header, ethertype, field, top",
+    [
+        (IPv6Header, ETHERTYPE_IPV6, "traffic_class", 0xFF),
+        (IPv6Header, ETHERTYPE_IPV6, "flow_label", 0xFFFFF),
+        (IPv6Header, ETHERTYPE_IPV6, "hop_limit", 0xFF),
+        (IPv4Header, ETHERTYPE_IPV4, "ttl", 0xFF),
+        (IPv4Header, ETHERTYPE_IPV4, "tos", 0xFF),
+        (IPv4Header, ETHERTYPE_IPV4, "identification", 0xFFFF),
+    ],
+    ids=["traffic_class", "flow_label", "hop_limit", "ttl", "tos", "identification"],
+)
+def test_header_fields_are_range_checked(header, ethertype, field, top):
+    """A field's largest value survives the codec; one past either end
+    is refused at construction instead of spilling into its neighbour."""
+    t = PacketTemplate(
+        (Ethernet(ethertype=ethertype), header(NEXT_HEADER_NONE, **{field: top}))
+    )
+    assert decode(encode(t)) == t
+    for bad in (-1, top + 1):
+        with pytest.raises(ValueError, match=field):
+            header(NEXT_HEADER_NONE, **{field: bad})
