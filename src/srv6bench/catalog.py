@@ -1,9 +1,10 @@
 """Registry of SRv6 forwarding behaviors.
 
 One entry per behavior, carrying its category, per-forwarder support
-flags, whether the benchmark can actually measure it, and the traffic it
-needs on the wire. Plain IPv4/IPv6 forwarding are modeled as
-pseudo-behaviors so baseline experiments fit the same pipeline.
+flags and the traffic it needs on the wire; a behavior is measurable
+exactly when it has a traffic requirement. Plain IPv4/IPv6 forwarding
+are modeled as pseudo-behaviors so baseline experiments fit the same
+pipeline.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ class TrafficRequirement:
     min_sids: int = 0
     active_sid_must_not_be_last: bool = False
     inner_packet_size: int = 64
-    srh_sid_count: int = 2
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,12 @@ class BehaviorSpec:
     category: Category
     linux_supported: bool
     vpp_supported: bool
-    measured: bool
     traffic: Optional[TrafficRequirement]
-    recipe_key: str
-    semantics_implemented: bool
+
+    @property
+    def measured(self) -> bool:
+        """The benchmark can measure this behavior: it has a traffic spec."""
+        return self.traffic is not None
 
 
 def _endpoint_req(kind: InnerKind, decap: bool) -> TrafficRequirement:
@@ -111,78 +113,59 @@ def _endpoint_req(kind: InnerKind, decap: bool) -> TrafficRequirement:
         needs_srv6_encap=True,
         min_sids=2,
         active_sid_must_not_be_last=not decap,
-        inner_packet_size=64,
-        srh_sid_count=2,
     )
 
 
 def _headend_req(kind: InnerKind) -> TrafficRequirement:
-    return TrafficRequirement(
-        inner_kind=kind,
-        needs_srv6_encap=False,
-        min_sids=0,
-        inner_packet_size=64,
-    )
+    return TrafficRequirement(inner_kind=kind, needs_srv6_encap=False)
 
 
 _B = BehaviorId
 _C = Category
 _K = InnerKind
 
-# id, category, linux, vpp, measured, traffic, recipe_key
+# id, category, linux, vpp, traffic (None: not measurable)
 # End.DT4 is flagged unsupported on Linux: the mainline kernel lacks it,
 # even though VPP provides it.
 _ROWS = (
-    (_B.H_INSERT, _C.HEADEND, True, True, True, _headend_req(_K.IPV6), "h_insert"),
-    (_B.H_INSERT_RED, _C.HEADEND, False, False, False, None, ""),
-    (_B.H_ENCAPS, _C.HEADEND, True, True, True, _headend_req(_K.IPV6), "h_encaps"),
+    (_B.H_INSERT, _C.HEADEND, True, True, _headend_req(_K.IPV6)),
+    (_B.H_INSERT_RED, _C.HEADEND, False, False, None),
+    (_B.H_ENCAPS, _C.HEADEND, True, True, _headend_req(_K.IPV6)),
     # Reduced-mode encaps has no documented traffic profile; left unset.
-    (_B.H_ENCAPS_RED, _C.HEADEND, False, True, False, None, ""),
-    (_B.H_ENCAPS_L2, _C.HEADEND, True, True, True, _headend_req(_K.ETHERNET), "h_encaps_l2"),
-    (_B.H_ENCAPS_L2_RED, _C.HEADEND, False, True, False, None, ""),
-    (_B.END, _C.ENDPOINT_NO_DECAP, True, True, True, _endpoint_req(_K.IPV6, False), "end"),
-    (_B.END_T, _C.ENDPOINT_NO_DECAP, True, True, True, _endpoint_req(_K.IPV6, False), "end_t"),
-    (_B.END_X, _C.ENDPOINT_NO_DECAP, True, True, True, _endpoint_req(_K.IPV6, False), "end_x"),
-    (_B.END_DT4, _C.ENDPOINT_DECAP, False, True, True, _endpoint_req(_K.IPV4, True), "end_dt4"),
-    (_B.END_DT6, _C.ENDPOINT_DECAP, True, True, True, _endpoint_req(_K.IPV6, True), "end_dt6"),
-    (_B.END_DT46, _C.ENDPOINT_DECAP, False, False, False, None, ""),
-    (_B.END_DX2, _C.ENDPOINT_DECAP, True, True, True, _endpoint_req(_K.ETHERNET, True), "end_dx2"),
-    (_B.END_DX4, _C.ENDPOINT_DECAP, True, True, True, _endpoint_req(_K.IPV4, True), "end_dx4"),
-    (_B.END_DX6, _C.ENDPOINT_DECAP, True, True, True, _endpoint_req(_K.IPV6, True), "end_dx6"),
-    (_B.END_DX2V, _C.ENDPOINT_DECAP, False, False, False, None, ""),
-    (_B.END_DT2U, _C.ENDPOINT_DECAP, False, False, False, None, ""),
-    (_B.END_DT2M, _C.ENDPOINT_DECAP, False, False, False, None, ""),
-    (_B.END_B6_INSERT, _C.BINDING_SID, True, True, False, None, ""),
-    (_B.END_B6_INSERT_RED, _C.BINDING_SID, False, False, False, None, ""),
-    (_B.END_B6_ENCAPS, _C.BINDING_SID, True, True, False, None, ""),
-    (_B.END_B6_ENCAPS_RED, _C.BINDING_SID, False, True, False, None, ""),
-    (_B.END_BM, _C.BINDING_SID, False, False, False, None, ""),
-    (_B.END_AS, _C.PROXY, False, True, False, None, ""),
-    (_B.END_AD, _C.PROXY, False, True, False, None, ""),
-    (_B.END_AM, _C.PROXY, False, True, False, None, ""),
-    (_B.T_M_TMAP, _C.MOBILE, False, True, False, None, ""),
-    (_B.END_M_GTP4_E, _C.MOBILE, False, True, False, None, ""),
-    (_B.END_M_GTP4_D, _C.MOBILE, False, True, False, None, ""),
-    (_B.END_GTP6_D_DI, _C.MOBILE, False, True, False, None, ""),
-    (_B.END_M_GTP6_E, _C.MOBILE, False, True, False, None, ""),
-    (_B.END_M_GTP6_D, _C.MOBILE, False, True, False, None, ""),
-    (_B.PLAIN_IPV4, _C.PLAIN_IP, True, True, True, _headend_req(_K.IPV4), "plain_ipv4"),
-    (_B.PLAIN_IPV6, _C.PLAIN_IP, True, True, True, _headend_req(_K.IPV6), "plain_ipv6"),
+    (_B.H_ENCAPS_RED, _C.HEADEND, False, True, None),
+    (_B.H_ENCAPS_L2, _C.HEADEND, True, True, _headend_req(_K.ETHERNET)),
+    (_B.H_ENCAPS_L2_RED, _C.HEADEND, False, True, None),
+    (_B.END, _C.ENDPOINT_NO_DECAP, True, True, _endpoint_req(_K.IPV6, False)),
+    (_B.END_T, _C.ENDPOINT_NO_DECAP, True, True, _endpoint_req(_K.IPV6, False)),
+    (_B.END_X, _C.ENDPOINT_NO_DECAP, True, True, _endpoint_req(_K.IPV6, False)),
+    (_B.END_DT4, _C.ENDPOINT_DECAP, False, True, _endpoint_req(_K.IPV4, True)),
+    (_B.END_DT6, _C.ENDPOINT_DECAP, True, True, _endpoint_req(_K.IPV6, True)),
+    (_B.END_DT46, _C.ENDPOINT_DECAP, False, False, None),
+    (_B.END_DX2, _C.ENDPOINT_DECAP, True, True, _endpoint_req(_K.ETHERNET, True)),
+    (_B.END_DX4, _C.ENDPOINT_DECAP, True, True, _endpoint_req(_K.IPV4, True)),
+    (_B.END_DX6, _C.ENDPOINT_DECAP, True, True, _endpoint_req(_K.IPV6, True)),
+    (_B.END_DX2V, _C.ENDPOINT_DECAP, False, False, None),
+    (_B.END_DT2U, _C.ENDPOINT_DECAP, False, False, None),
+    (_B.END_DT2M, _C.ENDPOINT_DECAP, False, False, None),
+    (_B.END_B6_INSERT, _C.BINDING_SID, True, True, None),
+    (_B.END_B6_INSERT_RED, _C.BINDING_SID, False, False, None),
+    (_B.END_B6_ENCAPS, _C.BINDING_SID, True, True, None),
+    (_B.END_B6_ENCAPS_RED, _C.BINDING_SID, False, True, None),
+    (_B.END_BM, _C.BINDING_SID, False, False, None),
+    (_B.END_AS, _C.PROXY, False, True, None),
+    (_B.END_AD, _C.PROXY, False, True, None),
+    (_B.END_AM, _C.PROXY, False, True, None),
+    (_B.T_M_TMAP, _C.MOBILE, False, True, None),
+    (_B.END_M_GTP4_E, _C.MOBILE, False, True, None),
+    (_B.END_M_GTP4_D, _C.MOBILE, False, True, None),
+    (_B.END_GTP6_D_DI, _C.MOBILE, False, True, None),
+    (_B.END_M_GTP6_E, _C.MOBILE, False, True, None),
+    (_B.END_M_GTP6_D, _C.MOBILE, False, True, None),
+    (_B.PLAIN_IPV4, _C.PLAIN_IP, True, True, _headend_req(_K.IPV4)),
+    (_B.PLAIN_IPV6, _C.PLAIN_IP, True, True, _headend_req(_K.IPV6)),
 )
 
-_CATALOG = tuple(
-    BehaviorSpec(
-        id=bid,
-        category=cat,
-        linux_supported=linux,
-        vpp_supported=vpp,
-        measured=measured,
-        traffic=traffic,
-        recipe_key=recipe_key,
-        semantics_implemented=measured,
-    )
-    for bid, cat, linux, vpp, measured, traffic, recipe_key in _ROWS
-)
+_CATALOG = tuple(BehaviorSpec(*row) for row in _ROWS)
 
 _BY_ID = {spec.id: spec for spec in _CATALOG}
 
@@ -210,9 +193,14 @@ def traffic_requirement(behavior: BehaviorId) -> TrafficRequirement:
 
 def spec_as_dict(spec: BehaviorSpec) -> dict:
     """JSON-friendly view of one catalog entry."""
-    d = asdict(spec)
-    d["id"] = spec.id.value
-    d["category"] = spec.category.value
+    traffic = None
     if spec.traffic is not None:
-        d["traffic"]["inner_kind"] = spec.traffic.inner_kind.value
-    return d
+        traffic = dict(asdict(spec.traffic), inner_kind=spec.traffic.inner_kind.value)
+    return {
+        "id": spec.id.value,
+        "category": spec.category.value,
+        "linux_supported": spec.linux_supported,
+        "vpp_supported": spec.vpp_supported,
+        "measured": spec.measured,
+        "traffic": traffic,
+    }

@@ -100,69 +100,71 @@ def _steer(traffic: str) -> tuple[str, str]:
     return f"sr steer {traffic} via bsid {{sid1}}", f"sr steer del {traffic} via bsid {{sid1}}"
 
 
-# recipe_key -> (setup, undo) command-template pairs in setup order. Linux
+_B = BehaviorId
+
+# behavior -> (setup, undo) command-template pairs in setup order. Linux
 # endpoint recipes have two routes: the SID route and the plain route used
 # after the behavior has run.
 _LINUX_RECIPES = {
-    "end": (
+    _B.END: (
         _seg6local("End"),
         _ip("-6 route {verb} {sid2}/128 via {nexthop6} dev {iface_out}"),
     ),
-    "end_t": (
+    _B.END_T: (
         _seg6local("End.T table {table}"),
         _ip("-6 route {verb} {sid2}/128 table {table} via {nexthop6} dev {iface_out}"),
     ),
-    "end_x": (_seg6local("End.X nh6 {nexthop6}"),),
-    "end_dt6": (
+    _B.END_X: (_seg6local("End.X nh6 {nexthop6}"),),
+    _B.END_DT6: (
         _seg6local("End.DT6 table {table}"),
         _ip("-6 route {verb} {inner_prefix6} table {table} via {nexthop6} dev {iface_out}"),
     ),
-    "end_dt4": (
+    _B.END_DT4: (
         _seg6local("End.DT4 vrftable {table}"),
         _ip("route {verb} {inner_prefix4} table {table} via {nexthop4} dev {iface_out}"),
     ),
-    "end_dx6": (_seg6local("End.DX6 nh6 {nexthop6}"),),
-    "end_dx4": (_seg6local("End.DX4 nh4 {nexthop4}"),),
-    "end_dx2": (_seg6local("End.DX2 oif {iface_out}"),),
-    "h_insert": (
+    _B.END_DX6: (_seg6local("End.DX6 nh6 {nexthop6}"),),
+    _B.END_DX4: (_seg6local("End.DX4 nh4 {nexthop4}"),),
+    _B.END_DX2: (_seg6local("End.DX2 oif {iface_out}"),),
+    _B.H_INSERT: (
         _ip("-6 route {verb} {inner_prefix6} encap seg6 mode inline segs {sid1},{sid2} dev {iface_out}"),
     ),
-    "h_encaps": (
+    _B.H_ENCAPS: (
         _ip("-6 route {verb} {inner_prefix6} encap seg6 mode encap segs {sid1} dev {iface_out}"),
     ),
-    "h_encaps_l2": (
+    _B.H_ENCAPS_L2: (
         _ip("-6 route {verb} {sid1}/128 encap seg6 mode l2encap segs {sid1} dev {iface_out}"),
     ),
-    "plain_ipv6": (_ip("-6 route {verb} {inner_prefix6} via {nexthop6} dev {iface_out}"),),
-    "plain_ipv4": (_ip("route {verb} {inner_prefix4} via {nexthop4} dev {iface_out}"),),
+    _B.PLAIN_IPV6: (_ip("-6 route {verb} {inner_prefix6} via {nexthop6} dev {iface_out}"),),
+    _B.PLAIN_IPV4: (_ip("route {verb} {inner_prefix4} via {nexthop4} dev {iface_out}"),),
 }
 
 _VPP_RECIPES = {
-    "end": (
+    _B.END: (
         _localsid("end"),
         _ip("route {verb} {sid2}/128 via {nexthop6} {iface_out}"),
     ),
-    "end_t": (
+    _B.END_T: (
         _localsid("end.t {table}"),
         _ip("route {verb} {sid2}/128 table {table} via {nexthop6} {iface_out}"),
     ),
-    "end_x": (_localsid("end.x {iface_out} {nexthop6}"),),
-    "end_dt6": (
+    _B.END_X: (_localsid("end.x {iface_out} {nexthop6}"),),
+    _B.END_DT6: (
         _localsid("end.dt6 {table}"),
         _ip("route {verb} {inner_prefix6} table {table} via {nexthop6} {iface_out}"),
     ),
-    "end_dt4": (
+    _B.END_DT4: (
         _localsid("end.dt4 {table}"),
         _ip("route {verb} {inner_prefix4} table {table} via {nexthop4} {iface_out}"),
     ),
-    "end_dx6": (_localsid("end.dx6 {iface_out} {nexthop6}"),),
-    "end_dx4": (_localsid("end.dx4 {iface_out} {nexthop4}"),),
-    "end_dx2": (_localsid("end.dx2 {iface_out}"),),
-    "h_insert": (_policy("next {sid1} next {sid2} insert"), _steer("l3 {inner_prefix6}")),
-    "h_encaps": (_policy("next {sid1} encap"), _steer("l3 {inner_prefix6}")),
-    "h_encaps_l2": (_policy("next {sid1} encap"), _steer("l2 {iface_in}")),
-    "plain_ipv6": (_ip("route {verb} {inner_prefix6} via {nexthop6} {iface_out}"),),
-    "plain_ipv4": (_ip("route {verb} {inner_prefix4} via {nexthop4} {iface_out}"),),
+    _B.END_DX6: (_localsid("end.dx6 {iface_out} {nexthop6}"),),
+    _B.END_DX4: (_localsid("end.dx4 {iface_out} {nexthop4}"),),
+    _B.END_DX2: (_localsid("end.dx2 {iface_out}"),),
+    _B.H_INSERT: (_policy("next {sid1} next {sid2} insert"), _steer("l3 {inner_prefix6}")),
+    _B.H_ENCAPS: (_policy("next {sid1} encap"), _steer("l3 {inner_prefix6}")),
+    _B.H_ENCAPS_L2: (_policy("next {sid1} encap"), _steer("l2 {iface_in}")),
+    _B.PLAIN_IPV6: (_ip("route {verb} {inner_prefix6} via {nexthop6} {iface_out}"),),
+    _B.PLAIN_IPV4: (_ip("route {verb} {inner_prefix4} via {nexthop4} {iface_out}"),),
 }
 
 _RECIPES = {"linux": _LINUX_RECIPES, "vpp": _VPP_RECIPES}
@@ -172,7 +174,7 @@ FORWARDER_KINDS = ("linux", "vpp", "sim")
 
 def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
     spec = lookup(behavior)
-    if not spec.measured or not spec.recipe_key:
+    if not spec.measured:
         raise UnsupportedBehaviorError(
             f"{spec.id} is not measurable: no semantics/recipe"
         )
@@ -185,7 +187,7 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
                 f"{spec.id} is not supported by the {forwarder_kind} forwarder "
                 f"(catalog: {forwarder_kind}_supported=False)"
             )
-        pairs = _RECIPES[forwarder_kind][spec.recipe_key]
+        pairs = _RECIPES[forwarder_kind][spec.id]
     else:
         raise ConfigError(f"unknown forwarder kind: {forwarder_kind!r}")
     return ConfigRecipe(
@@ -226,20 +228,11 @@ class SshConnection:
 
 
 @dataclass(frozen=True)
-class SimModelConfig:
-    capacity_pps: Mapping[BehaviorId, float]
-    loss_at_capacity: float = 0.01
-    curve_exponent: float = 4.0
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class TestbedConfig:
     forwarder_kind: str
     link: LinkSpec
     connection: Optional[SshConnection] = None
-    model: Optional[SimModelConfig] = None
+    model: Optional[ForwarderModel] = None
 
 
 def _require_mapping(doc: Any, where: str) -> dict:
@@ -274,6 +267,11 @@ def _build(cls, doc: Mapping, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _is_positive_int(value: Any) -> bool:
+    # YAML true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def parse_experiment_config(text: str) -> ExperimentConfig:
     doc = _load_yaml(text, "experiment")
     _reject_unknown(
@@ -301,7 +299,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     if algorithm not in ("binary", "legacy"):
         raise ConfigError("experiment.algorithm: must be 'binary' or 'legacy'")
     runs = doc.get("runs", 10)
-    if not isinstance(runs, int) or runs < 1:
+    if not _is_positive_int(runs):
         raise ConfigError("experiment.runs: must be a positive integer")
 
     packet_doc = _require_mapping(doc.get("packet", {}), "experiment.packet")
@@ -314,21 +312,16 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 "experiment.packet.inner_kind: must be ipv6, ipv4 or ethernet"
             ) from None
-    packet = PacketOverrides(
-        inner_size=packet_doc.get("inner_size"), inner_kind=inner_kind
-    )
+    inner_size = packet_doc.get("inner_size")
+    if inner_size is not None and not _is_positive_int(inner_size):
+        raise ConfigError("experiment.packet.inner_size: must be a positive integer")
+    packet = PacketOverrides(inner_size=inner_size, inner_kind=inner_kind)
 
     search_doc = _require_mapping(doc.get("search", {}), "experiment.search")
     search = _build(SearchConfig, search_doc, "experiment.search")
     if experiment_type == "ndr":
         # NDR is the zero-loss-threshold special case
-        search = SearchConfig(
-            min_percent=search.min_percent,
-            max_percent=search.max_percent,
-            accuracy_percent=search.accuracy_percent,
-            loss_threshold=0.0,
-            trial_duration_s=search.trial_duration_s,
-        )
+        search = replace(search, loss_threshold=0.0)
     policy_doc = _require_mapping(doc.get("policy", {}), "experiment.policy")
     policy = _build(TrialPolicy, policy_doc, "experiment.policy")
 
@@ -371,11 +364,10 @@ def parse_testbed_config(text: str) -> TestbedConfig:
              "curve_exponent", "noise_sigma", "seed"],
             "testbed.model",
         )
-        caps_raw = model_doc.get("capacity_pps")
-        scale = 1.0
-        if caps_raw is None:
-            caps_raw = model_doc.get("capacity_kpps")
-            scale = 1e3
+        caps_key, scale = "capacity_pps", 1.0
+        if model_doc.get(caps_key) is None:
+            caps_key, scale = "capacity_kpps", 1e3
+        caps_raw = model_doc.get(caps_key)
         if not isinstance(caps_raw, dict) or not caps_raw:
             raise ConfigError(
                 "testbed.model: need a non-empty capacity_pps or capacity_kpps map"
@@ -386,9 +378,14 @@ def parse_testbed_config(text: str) -> TestbedConfig:
                 bid = BehaviorId.parse(str(name))
             except Srv6BenchError as exc:
                 raise ConfigError(f"testbed.model capacities: {exc}") from exc
-            capacities[bid] = float(value) * scale
+            try:
+                capacities[bid] = float(value) * scale
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"testbed.model.{caps_key}.{bid}: not a number: {value!r}"
+                ) from None
         try:
-            model = SimModelConfig(
+            model = ForwarderModel(
                 capacity_pps=capacities,
                 loss_at_capacity=float(model_doc.get("loss_at_capacity", 0.01)),
                 curve_exponent=float(model_doc.get("curve_exponent", 4.0)),
@@ -512,37 +509,41 @@ class CampaignResult:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CampaignResult":
-        entries = []
-        for row in doc["behaviors"]:
-            interval = None
-            if row["pdr_low_pps"] is not None:
-                interval = RateInterval(row["pdr_low_pps"], row["pdr_high_pps"])
-            stats = None
-            if row["stats"] is not None:
-                stats = SummaryStats(
-                    mean=row["stats"]["mean_pps"],
-                    cv_percent=row["stats"]["cv_percent"],
-                    ci95_percent=row["stats"]["ci95_percent"],
-                    n=row["stats"]["n"],
+        """Inverse of to_json_dict; a malformed document is a ConfigError."""
+        try:
+            entries = []
+            for row in doc["behaviors"]:
+                interval = None
+                if row["pdr_low_pps"] is not None:
+                    interval = RateInterval(row["pdr_low_pps"], row["pdr_high_pps"])
+                stats = None
+                if row["stats"] is not None:
+                    stats = SummaryStats(
+                        mean=row["stats"]["mean_pps"],
+                        cv_percent=row["stats"]["cv_percent"],
+                        ci95_percent=row["stats"]["ci95_percent"],
+                        n=row["stats"]["n"],
+                    )
+                entries.append(
+                    BehaviorResult(
+                        behavior=BehaviorId.parse(row["behavior"]),
+                        frame_size=row["frame_size"],
+                        line_packet_rate_pps=row["line_packet_rate_pps"],
+                        interval=interval,
+                        flags=tuple(row["flags"]),
+                        stats=stats,
+                        error=row["error"],
+                    )
                 )
-            entries.append(
-                BehaviorResult(
-                    behavior=BehaviorId.parse(row["behavior"]),
-                    frame_size=row["frame_size"],
-                    line_packet_rate_pps=row["line_packet_rate_pps"],
-                    interval=interval,
-                    flags=tuple(row["flags"]),
-                    stats=stats,
-                    error=row["error"],
-                )
+            return cls(
+                forwarder_kind=doc["forwarder"],
+                entries=entries,
+                version=doc["version"],
+                started_at=doc["started_at"],
+                finished_at=doc["finished_at"],
             )
-        return cls(
-            forwarder_kind=doc["forwarder"],
-            entries=entries,
-            version=doc["version"],
-            started_at=doc["started_at"],
-            finished_at=doc["finished_at"],
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"campaign: malformed document: {exc!r}") from exc
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -567,6 +568,9 @@ class CampaignResult:
         return buf.getvalue()
 
 
+_SID_PLAN = (Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"]))
+
+
 def packet_for(
     behavior: BehaviorId, packet: Optional[PacketOverrides] = None
 ) -> PacketTemplate:
@@ -576,8 +580,7 @@ def packet_for(
         req = replace(req, inner_packet_size=packet.inner_size)
     if packet and packet.inner_kind is not None:
         req = replace(req, inner_kind=packet.inner_kind)
-    sid_plan = [Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"])]
-    return build_test_packet(req, sid_plan[: max(req.srh_sid_count, req.min_sids)])
+    return build_test_packet(req, _SID_PLAN)
 
 
 def resolve(
@@ -591,45 +594,23 @@ def resolve(
 
 
 def default_behavior_configs() -> dict[BehaviorId, BehaviorConfig]:
-    """Behavior parameters derived from the address plan. Headend
-    policies get their SID lists here: a single segment for the encap
-    flavors (segment rides in the destination address, no SRH) and two
-    segments for SRH insertion."""
-    sid1 = Sid.from_str(ADDRESS_PLAN["sid1"])
-    sid2 = Sid.from_str(ADDRESS_PLAN["sid2"])
-    base = BehaviorConfig(
-        table=ADDRESS_PLAN["table"],
-        adjacency=ADDRESS_PLAN["nexthop6"],
-        interface=ADDRESS_PLAN["iface_out"],
-    )
+    """SID lists of the headend policies on the address plan: a single
+    segment for the encap flavors (segment rides in the destination
+    address, no SRH) and two segments for SRH insertion. Every other
+    behavior runs on BehaviorConfig(), whose table, adjacency and
+    interface are the address plan's."""
+    sid1, sid2 = _SID_PLAN
     return {
-        BehaviorId.H_INSERT: replace(base, segments=(sid1, sid2)),
-        BehaviorId.H_ENCAPS: replace(base, segments=(sid1,)),
-        BehaviorId.H_ENCAPS_L2: replace(base, segments=(sid1,)),
-        BehaviorId.END: base,
-        BehaviorId.END_T: base,
-        BehaviorId.END_X: base,
-        BehaviorId.END_DT4: base,
-        BehaviorId.END_DT6: base,
-        BehaviorId.END_DX2: base,
-        BehaviorId.END_DX4: base,
-        BehaviorId.END_DX6: base,
-        BehaviorId.PLAIN_IPV4: base,
-        BehaviorId.PLAIN_IPV6: base,
+        BehaviorId.H_INSERT: BehaviorConfig(segments=(sid1, sid2)),
+        BehaviorId.H_ENCAPS: BehaviorConfig(segments=(sid1,)),
+        BehaviorId.H_ENCAPS_L2: BehaviorConfig(segments=(sid1,)),
     }
 
 
 def _make_driver(behavior, template, testbed: TestbedConfig):
     if testbed.forwarder_kind == "sim":
-        mc = testbed.model
-        model = ForwarderModel(
-            capacity_pps=dict(mc.capacity_pps),
-            loss_at_capacity=mc.loss_at_capacity,
-            curve_exponent=mc.curve_exponent,
-            noise_sigma=mc.noise_sigma,
-            seed=mc.seed,
-            behavior_config=default_behavior_configs(),
-        )
+        testbed.model.capacity(behavior)  # no capacity: fail before any setup
+        model = replace(testbed.model, behavior_config=default_behavior_configs())
         return SimDriver(model, behavior, template)
     return TrexStatelessDriver(host=testbed.connection.host)
 
@@ -649,8 +630,9 @@ def run_campaign(
     """Run every requested behavior sequentially against one testbed.
 
     Per-behavior failures are recorded and the campaign continues. The
-    setup steps a behavior issued are always undone, last one first, and
-    a failed undo joins that behavior's error. executor and
+    driver is built before the first setup step, and the setup steps a
+    behavior issued are always undone, last one first; a failed undo
+    joins that behavior's error. executor and
     driver_factory are injection points for tests (a recording mock, a
     scripted driver).
     """
@@ -672,6 +654,7 @@ def run_campaign(
             template, recipe = resolve(behavior, testbed, experiment.packet)
             frame_size = template.frame_size
             lpr = line_packet_rate(testbed.link, frame_size)
+            driver = driver_factory(behavior, template, testbed)
             for step in recipe.steps:
                 status, output = executor.execute(step)
                 if status != 0:
@@ -679,7 +662,6 @@ def run_campaign(
                         f"configuration step failed ({status}): {step}: {output}"
                     )
                 issued += 1
-            driver = driver_factory(behavior, template, testbed)
             validation = validate_pdr(
                 driver,
                 lpr,

@@ -645,6 +645,29 @@ def _plain_forward(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
     return PacketTemplate((layers[0], hdr) + layers[2:])
 
 
+_B = BehaviorId
+_K = InnerKind
+
+# behavior -> (transform, forwarding action kind, BehaviorConfig field that
+# names the action target or "main" for the main table). A behavior's
+# semantics are implemented exactly when it is listed here.
+_SEMANTICS = {
+    _B.END: (lambda t, cfg: _advance(t), FIB_LOOKUP, "main"),
+    _B.END_T: (lambda t, cfg: _advance(t), FIB_LOOKUP, "table"),
+    _B.END_X: (lambda t, cfg: _advance(t), XCONNECT, "adjacency"),
+    _B.END_DT6: (lambda t, cfg: _decap(t, _K.IPV6), FIB_LOOKUP, "table"),
+    _B.END_DT4: (lambda t, cfg: _decap(t, _K.IPV4), FIB_LOOKUP, "table"),
+    _B.END_DX6: (lambda t, cfg: _decap(t, _K.IPV6), XCONNECT, "interface"),
+    _B.END_DX4: (lambda t, cfg: _decap(t, _K.IPV4), XCONNECT, "interface"),
+    _B.END_DX2: (lambda t, cfg: _decap(t, _K.ETHERNET), XCONNECT, "interface"),
+    _B.H_INSERT: (_insert, FIB_LOOKUP, "main"),
+    _B.H_ENCAPS: (lambda t, cfg: _encap(t, cfg, l2=False), FIB_LOOKUP, "main"),
+    _B.H_ENCAPS_L2: (lambda t, cfg: _encap(t, cfg, l2=True), FIB_LOOKUP, "main"),
+    _B.PLAIN_IPV6: (lambda t, cfg: _plain_forward(t, _K.IPV6), FIB_LOOKUP, "main"),
+    _B.PLAIN_IPV4: (lambda t, cfg: _plain_forward(t, _K.IPV4), FIB_LOOKUP, "main"),
+}
+
+
 def apply_behavior(
     behavior: BehaviorId,
     template: PacketTemplate,
@@ -656,44 +679,14 @@ def apply_behavior(
     real dataplane would take afterwards.
     """
     spec = lookup(behavior)
-    if not spec.semantics_implemented:
-        raise UnsupportedBehaviorError(f"{spec.id} semantics are not implemented")
+    try:
+        transform, kind, target = _SEMANTICS[spec.id]
+    except KeyError:
+        raise UnsupportedBehaviorError(f"{spec.id} semantics are not implemented") from None
     cfg = cfg or DEFAULT_BEHAVIOR_CONFIG
-    B = BehaviorId
-
-    if behavior is B.END:
-        return _advance(template), ForwardAction(FIB_LOOKUP, "main")
-    if behavior is B.END_T:
-        return _advance(template), ForwardAction(FIB_LOOKUP, cfg.table)
-    if behavior is B.END_X:
-        return _advance(template), ForwardAction(XCONNECT, cfg.adjacency)
-    if behavior is B.END_DT6:
-        return _decap(template, InnerKind.IPV6), ForwardAction(FIB_LOOKUP, cfg.table)
-    if behavior is B.END_DT4:
-        return _decap(template, InnerKind.IPV4), ForwardAction(FIB_LOOKUP, cfg.table)
-    if behavior is B.END_DX6:
-        return _decap(template, InnerKind.IPV6), ForwardAction(XCONNECT, cfg.interface)
-    if behavior is B.END_DX4:
-        return _decap(template, InnerKind.IPV4), ForwardAction(XCONNECT, cfg.interface)
-    if behavior is B.END_DX2:
-        return _decap(template, InnerKind.ETHERNET), ForwardAction(
-            XCONNECT, cfg.interface
-        )
-    if behavior is B.H_INSERT:
-        return _insert(template, cfg), ForwardAction(FIB_LOOKUP, "main")
-    if behavior is B.H_ENCAPS:
-        return _encap(template, cfg, l2=False), ForwardAction(FIB_LOOKUP, "main")
-    if behavior is B.H_ENCAPS_L2:
-        return _encap(template, cfg, l2=True), ForwardAction(FIB_LOOKUP, "main")
-    if behavior is B.PLAIN_IPV6:
-        return _plain_forward(template, InnerKind.IPV6), ForwardAction(
-            FIB_LOOKUP, "main"
-        )
-    if behavior is B.PLAIN_IPV4:
-        return _plain_forward(template, InnerKind.IPV4), ForwardAction(
-            FIB_LOOKUP, "main"
-        )
-    raise UnsupportedBehaviorError(f"{spec.id} semantics are not implemented")
+    if target != "main":
+        target = getattr(cfg, target)
+    return transform(template, cfg), ForwardAction(kind, target)
 
 
 def satisfies(template: PacketTemplate, req: TrafficRequirement) -> bool:

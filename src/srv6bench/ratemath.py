@@ -27,19 +27,15 @@ Z_95 = 1.96
 class LinkSpec:
     """A point-to-point Ethernet link.
 
-    line_bit_rate_bps is the raw line rate (e.g. 10e9 for 10GbE);
-    ethernet_overhead covers CRC, preamble/SFD and the inter-frame gap.
+    line_bit_rate_bps is the raw line rate (e.g. 10e9 for 10GbE); every
+    frame also pays ETHERNET_OVERHEAD bytes on the wire.
     """
 
     line_bit_rate_bps: float
-    ethernet_header_len: int = ETHERNET_HEADER_LEN
-    ethernet_overhead: int = ETHERNET_OVERHEAD
 
     def __post_init__(self):
         if self.line_bit_rate_bps <= 0:
             raise ValueError("line_bit_rate_bps must be positive")
-        if self.ethernet_header_len < 0 or self.ethernet_overhead < 0:
-            raise ValueError("byte fields must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -89,13 +85,13 @@ def line_packet_rate(link: LinkSpec, frame_size: int) -> float:
     """Maximum packets/second the link admits at a given Ethernet frame size.
 
     frame_size includes the 14-byte Ethernet header but not CRC, preamble
-    or inter-frame gap (those are the link's overhead bytes).
+    or inter-frame gap (those are the ETHERNET_OVERHEAD bytes).
     """
     if frame_size < MIN_FRAME_SIZE:
         raise InvalidFrameError(
             f"frame_size {frame_size} below Ethernet minimum {MIN_FRAME_SIZE}"
         )
-    return link.line_bit_rate_bps / (8.0 * (frame_size + link.ethernet_overhead))
+    return link.line_bit_rate_bps / (8.0 * (frame_size + ETHERNET_OVERHEAD))
 
 
 def delivery_ratio(sample: TrialSample) -> float:

@@ -9,6 +9,7 @@ search algorithms an independent analytic oracle.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol
@@ -50,14 +51,15 @@ class ForwarderModel:
     behavior_config: Mapping[BehaviorId, BehaviorConfig] = field(default_factory=dict)
 
     def __post_init__(self):
-        if any(c <= 0 for c in self.capacity_pps.values()):
-            raise ValueError("capacities must be positive")
+        # written so that NaN fails every check
+        if not all(0 < c < math.inf for c in self.capacity_pps.values()):
+            raise ValueError("capacities must be positive and finite")
         if not 0 <= self.loss_at_capacity < 1:
             raise ValueError("loss_at_capacity must be in [0, 1)")
-        if self.curve_exponent < 1:
-            raise ValueError("curve_exponent must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 1 <= self.curve_exponent < math.inf:
+            raise ValueError("curve_exponent must be >= 1 and finite")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be non-negative and finite")
 
     def capacity(self, behavior: BehaviorId) -> float:
         try:

@@ -25,7 +25,6 @@ from srv6bench.finder import (
 )
 from srv6bench.orchestrator import (
     RecordingExecutor,
-    SimModelConfig,
     TestbedConfig as BenchTestbedConfig,
     parse_experiment_config,
     recipe_for,
@@ -228,7 +227,7 @@ def test_criterion_7_orchestration_ordering():
     testbed = BenchTestbedConfig(
         forwarder_kind="sim",
         link=TEN_GIG,
-        model=SimModelConfig(
+        model=ForwarderModel(
             capacity_pps={
                 BehaviorId.END: 900e3,
                 BehaviorId.END_DT6: 960e3,

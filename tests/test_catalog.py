@@ -45,13 +45,14 @@ def test_measured_set():
 
 
 def test_measured_entries_are_fully_specified():
+    # measured is derived from the traffic requirement, never stored apart
     for s in catalog():
+        assert s.measured == (s.traffic is not None)
         if s.measured:
-            assert s.traffic is not None
-            assert s.recipe_key
-            assert s.semantics_implemented
+            assert traffic_requirement(s.id) is s.traffic
         else:
-            assert s.traffic is None
+            with pytest.raises(UnsupportedBehaviorError):
+                traffic_requirement(s.id)
 
 
 def test_end_dt4_support_flags():

@@ -104,6 +104,65 @@ class TestRun:
         assert (out / "trace_End.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "experiment, testbed, where",
+        [
+            pytest.param(
+                "packet: {inner_size: big}\n", TESTBED, "experiment.packet.inner_size",
+                id="inner_size-str",
+            ),
+            pytest.param(
+                "packet: {inner_size: 64.5}\n", TESTBED, "experiment.packet.inner_size",
+                id="inner_size-float",
+            ),
+            pytest.param(
+                "packet: {inner_size: true}\n", TESTBED, "experiment.packet.inner_size",
+                id="inner_size-bool",
+            ),
+            pytest.param(
+                "packet: {inner_size: 0}\n", TESTBED, "experiment.packet.inner_size",
+                id="inner_size-zero",
+            ),
+            pytest.param("runs: true\n", TESTBED, "experiment.runs", id="runs-bool"),
+            pytest.param(
+                "", TESTBED.replace("End: 900", "End: abc"), "testbed.model.capacity_kpps.End",
+                id="capacity-str",
+            ),
+            pytest.param(
+                "", TESTBED.replace("End: 900", "End: -900"), "testbed.model",
+                id="capacity-negative",
+            ),
+            pytest.param(
+                "", TESTBED + "  loss_at_capacity: 1.5\n", "testbed.model",
+                id="loss_at_capacity-above-1",
+            ),
+            pytest.param(
+                "", TESTBED.replace("End: 900", "End: .nan"), "testbed.model",
+                id="capacity-nan",
+            ),
+            pytest.param(
+                "", TESTBED + "  curve_exponent: .nan\n", "testbed.model",
+                id="curve_exponent-nan",
+            ),
+            pytest.param(
+                "", TESTBED + "  noise_sigma: .inf\n", "testbed.model",
+                id="noise_sigma-inf",
+            ),
+        ],
+    )
+    def test_invalid_value_exits_2_and_writes_nothing(
+        self, experiment, testbed, where, tmp_path, capsys
+    ):
+        exp = tmp_path / "e.yaml"
+        exp.write_text("behaviors: [End]\n" + experiment)
+        tb = tmp_path / "t.yaml"
+        tb.write_text(testbed)
+        out = tmp_path / "o"
+        assert run_cmd(exp, tb, out) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+        assert not out.exists()
+
+
 class TestOtherCommands:
     def test_behaviors_table(self, capsys):
         assert main(["behaviors"]) == EXIT_OK
@@ -155,3 +214,12 @@ class TestOtherCommands:
 
     def test_report_missing_file(self, tmp_path):
         assert main(["report", "--campaign", str(tmp_path / "x.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "doc", ['{"behaviors": [{"behavior": "End"}]}', "[]"], ids=["missing-keys", "list"]
+    )
+    def test_report_malformed_campaign(self, doc, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        path.write_text(doc)
+        assert main(["report", "--campaign", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: campaign: malformed document")

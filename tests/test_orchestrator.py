@@ -8,7 +8,6 @@ from srv6bench.orchestrator import (
     CampaignResult,
     ExperimentConfig,
     RecordingExecutor,
-    SimModelConfig,
     SshConnection,
     SshExecutor,
     TestbedConfig as BenchTestbedConfig,
@@ -19,7 +18,9 @@ from srv6bench.orchestrator import (
     resolve,
     run_campaign,
 )
+from srv6bench.packet import BehaviorConfig, Sid
 from srv6bench.ratemath import LinkSpec
+from srv6bench.simulator import ForwarderModel
 
 SIM_TESTBED_YAML = """
 forwarder: sim
@@ -42,7 +43,7 @@ def sim_testbed(capacities=None):
     return BenchTestbedConfig(
         forwarder_kind="sim",
         link=LinkSpec(line_bit_rate_bps=10e9),
-        model=SimModelConfig(capacity_pps=caps),
+        model=ForwarderModel(capacity_pps=caps),
     )
 
 
@@ -222,12 +223,30 @@ class TestResolve:
 
 
 def test_default_behavior_configs_cover_all_measured():
-    from srv6bench.catalog import catalog
+    # Only headend policies differ from BehaviorConfig(); every other
+    # measured behavior runs on the base config, which is the address plan.
+    from srv6bench.catalog import Category, catalog
 
-    configured = set(default_behavior_configs())
-    measured = {s.id for s in catalog() if s.measured}
-    assert measured <= configured
-    assert default_behavior_configs()[BehaviorId.H_INSERT].segments != ()
+    configs = default_behavior_configs()
+    sid1, sid2 = (Sid.from_str(ADDRESS_PLAN[k]) for k in ("sid1", "sid2"))
+    assert configs[BehaviorId.H_INSERT] == BehaviorConfig(segments=(sid1, sid2))
+    for bid in (BehaviorId.H_ENCAPS, BehaviorId.H_ENCAPS_L2):
+        assert configs[bid] == BehaviorConfig(segments=(sid1,))
+    for spec in catalog():
+        if spec.measured:
+            effective = configs.get(spec.id, BehaviorConfig())
+            assert effective.table == ADDRESS_PLAN["table"]
+            assert effective.adjacency == ADDRESS_PLAN["nexthop6"]
+            assert effective.interface == ADDRESS_PLAN["iface_out"]
+            assert bool(effective.segments) == (spec.category is Category.HEADEND)
+
+
+def test_base_behavior_config_is_the_address_plan():
+    # default_behavior_configs leaves non-headend behaviors on this base
+    base = BehaviorConfig()
+    assert base.table == ADDRESS_PLAN["table"]
+    assert base.adjacency == ADDRESS_PLAN["nexthop6"]
+    assert base.interface == ADDRESS_PLAN["iface_out"]
 
 
 class TestCampaign:
@@ -335,6 +354,17 @@ class TestCampaign:
         result = run_campaign(experiment, sim_testbed())
         assert result.partial
         assert "End.T" in result.entries[0].error
+
+    def test_missing_capacity_fails_before_any_setup_command(self):
+        experiment = ExperimentConfig(behaviors=(BehaviorId.END_T, BehaviorId.END), runs=1)
+        executor = RecordingExecutor()
+        result = run_campaign(experiment, sim_testbed(), executor=executor)
+        assert result.partial
+        missing, end = result.entries
+        assert "no capacity configured for End.T" in missing.error
+        assert end.error is None and end.interval is not None
+        assert not any("End.T" in command for command in executor.commands)
+        assert executor.commands == ["sim set-behavior End", "sim clear-behavior End"]
 
 
 class TestCampaignSerialization:

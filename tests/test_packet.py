@@ -11,7 +11,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from srv6bench.catalog import BehaviorId, InnerKind, traffic_requirement
+from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
 from srv6bench.errors import (
     CannotAdvanceError,
     MalformedPacketError,
@@ -333,6 +333,24 @@ class TestPlainForwarding:
     def test_unimplemented_behavior_rejected(self, end_template):
         with pytest.raises(UnsupportedBehaviorError):
             apply_behavior(BehaviorId.END_AD, end_template)
+
+
+def test_implemented_semantics_are_the_measured_set(end_template):
+    # the catalog's traffic requirement is the one record of what can be
+    # measured; apply_behavior must implement exactly that set
+    cfg = BehaviorConfig(segments=(SID1, SID2))
+    implemented = set()
+    for spec in catalog():
+        try:
+            template = build_test_packet(traffic_requirement(spec.id), [SID1, SID2])
+        except UnsupportedBehaviorError:
+            template = end_template
+        try:
+            apply_behavior(spec.id, template, cfg)
+        except UnsupportedBehaviorError:
+            continue
+        implemented.add(spec.id)
+    assert implemented == {s.id for s in catalog() if s.measured}
 
 
 def test_encaps_then_decap_restores_inner_bytes():
