@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import BehaviorId, catalog, spec_as_dict
-from .errors import Srv6BenchError
+from .errors import ConfigError, Srv6BenchError
 from .orchestrator import (
     CampaignResult,
     packet_for,
@@ -33,7 +33,10 @@ EXIT_PARTIAL = 3
 
 
 def _cmd_lpr(args) -> int:
-    link = LinkSpec(line_bit_rate_bps=args.bit_rate)
+    try:
+        link = LinkSpec(line_bit_rate_bps=args.bit_rate)
+    except ValueError as exc:
+        raise ConfigError(f"--bit-rate: {exc}") from None
     frame = args.ip_packet_size + ETHERNET_HEADER_LEN
     pps = line_packet_rate(link, frame)
     print(f"frame size: {frame} B (IP {args.ip_packet_size} B + {ETHERNET_HEADER_LEN} B Ethernet)")
@@ -68,7 +71,6 @@ def _cmd_packet(args) -> int:
 
 
 def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "campaign.json").write_text(
         json.dumps(result.to_json_dict(), indent=2), encoding="utf-8"
     )
@@ -96,12 +98,16 @@ def _cmd_run(args) -> int:
         experiment_text = Path(args.experiment).read_text(encoding="utf-8")
         testbed_text = Path(args.testbed).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot read configuration: {exc}") from None
     experiment = parse_experiment_config(experiment_text)
     testbed = parse_testbed_config(testbed_text)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from None
     result = run_campaign(experiment, testbed)
-    _write_outputs(result, Path(args.out))
+    _write_outputs(result, out_dir)
     for entry in result.entries:
         if entry.error:
             print(f"{entry.behavior.value}: ERROR: {entry.error}")

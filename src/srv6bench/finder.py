@@ -10,6 +10,7 @@ trace of every trial they ran.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -39,14 +40,15 @@ class SearchConfig:
     trial_duration_s: float = 10.0
 
     def __post_init__(self):
+        # written so that NaN fails every check
         if not 0 < self.min_percent < self.max_percent <= 100:
             raise ValueError("need 0 < min_percent < max_percent <= 100")
-        if self.accuracy_percent <= 0:
-            raise ValueError("accuracy_percent must be positive")
+        if not 0 < self.accuracy_percent < math.inf:
+            raise ValueError("accuracy_percent must be positive and finite")
         if not 0 <= self.loss_threshold < 1:
             raise ValueError("loss_threshold must be in [0, 1)")
-        if self.trial_duration_s <= 0:
-            raise ValueError("trial_duration_s must be positive")
+        if not 0 < self.trial_duration_s < math.inf:
+            raise ValueError("trial_duration_s must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,11 @@ class TrialPolicy:
     retry_cap: int = 3
 
     def __post_init__(self):
-        if self.near_band <= 0:
-            raise ValueError("near_band must be positive")
+        # written so that NaN fails every check
+        if not 0 < self.near_band < math.inf:
+            raise ValueError("near_band must be positive and finite")
+        if not 0 <= self.max_rx_cv_percent < math.inf:
+            raise ValueError("max_rx_cv_percent must be non-negative and finite")
         if self.repetitions < 2:
             raise ValueError("repetitions must be >= 2")
         if self.retry_cap < 1:

@@ -13,8 +13,12 @@ from __future__ import annotations
 import datetime
 import io
 import csv as csv_mod
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Protocol, Sequence
+from collections import abc
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from enum import Enum
+from typing import (
+    Any, Mapping, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints,
+)
 
 import yaml
 
@@ -207,6 +211,10 @@ class PacketOverrides:
     inner_size: Optional[int] = None
     inner_kind: Optional[InnerKind] = None
 
+    def __post_init__(self):
+        if self.inner_size is not None and self.inner_size < 1:
+            raise ValueError("inner_size must be positive")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -218,6 +226,22 @@ class ExperimentConfig:
     search: SearchConfig = SearchConfig()
     policy: TrialPolicy = TrialPolicy()
 
+    def __post_init__(self):
+        if not self.behaviors:
+            raise ValueError("behaviors must be a non-empty list")
+        if len(set(self.behaviors)) < len(self.behaviors):
+            raise ValueError("behaviors must not list a behavior twice")
+        if self.experiment_type not in ("pdr", "ndr"):
+            raise ValueError("experiment_type must be 'pdr' or 'ndr'")
+        if self.algorithm not in ("binary", "legacy"):
+            raise ValueError("algorithm must be 'binary' or 'legacy'")
+        if self.runs < 1:
+            raise ValueError("runs must be positive")
+        # binary search of a window no wider than the accuracy runs no trial
+        window = self.search.max_percent - self.search.min_percent
+        if self.algorithm == "binary" and not self.search.accuracy_percent < window:
+            raise ValueError("search.accuracy_percent must be below max_percent - min_percent")
+
 
 @dataclass(frozen=True)
 class SshConnection:
@@ -225,6 +249,12 @@ class SshConnection:
     port: int = 22
     user: str = "root"
     key_file: Optional[str] = None
+
+    def __post_init__(self):
+        if not self.host:
+            raise ValueError("host must not be empty")
+        if not 0 < self.port < 65536:
+            raise ValueError("port must be in 1-65535")
 
 
 @dataclass(frozen=True)
@@ -244,7 +274,7 @@ def _require_mapping(doc: Any, where: str) -> dict:
 def _reject_unknown(doc: Mapping, allowed: Sequence[str], where: str) -> None:
     unknown = set(doc) - set(allowed)
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
 
 
 def _load_yaml(text: str, where: str) -> dict:
@@ -257,83 +287,70 @@ def _load_yaml(text: str, where: str) -> dict:
     return _require_mapping(doc, where)
 
 
-def _build(cls, doc: Mapping, where: str):
-    """Construct a validating dataclass from a mapping, with key checks."""
-    fields = cls.__dataclass_fields__
-    _reject_unknown(doc, list(fields), where)
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", tuple: "a list"}
+
+
+def _read(value: Any, kind: Any, where: str) -> Any:
+    """`value` checked against the declared type `kind`.
+
+    Nothing is coerced: a bool is never a number and an int stays an int.
+    The one conversion is float() of a string in a float field, because
+    YAML loads a number such as 10e9 as a string.
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Union:  # Optional[X], the only union a field declares
+        return None if value is None else _read(value, args[0], where)
+    if origin is tuple:  # tuple[X, ...]
+        if isinstance(value, list):
+            return tuple(_read(item, args[0], where) for item in value)
+    elif origin is abc.Mapping:
+        items = _require_mapping(value, where).items()
+        return {_read(k, args[0], where): _read(v, args[1], f"{where}.{k}") for k, v in items}
+    elif is_dataclass(kind):
+        return _build(kind, value, where)
+    elif issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            raise ConfigError(f"{where}: {value!r} is not one of {choices}") from None
+    elif kind is float:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except (ValueError, OverflowError):  # OverflowError: an int past float range
+                pass
+            else:
+                return number if isinstance(value, str) else value
+    elif isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected {_EXPECTED[origin or kind]}, got {value!r}")
+
+
+def _build(cls, doc: Any, where: str, **given):
+    """The dataclass `cls` from the mapping `doc`, whose keys are the fields
+    of `cls` not in `given`. Each value is read against its field's type."""
+    kinds = get_type_hints(cls)
+    _reject_unknown(_require_mapping(doc, where), [k for k in kinds if k not in given], where)
+    for f in fields(cls):
+        if f.default is f.default_factory is MISSING and f.name not in {**doc, **given}:
+            raise ConfigError(f"{where}.{f.name}: required")
+    values = {key: _read(value, kinds[key], f"{where}.{key}") for key, value in doc.items()}
     try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _is_positive_int(value: Any) -> bool:
-    # YAML true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+        return cls(**values, **given)
+    except ValueError as exc:
+        # a range check names its field (or field.subfield) first: report it at that key
+        first_word = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{where}{'.' if first_word.split('.')[0] in kinds else ': '}{exc}") from exc
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    doc = _load_yaml(text, "experiment")
-    _reject_unknown(
-        doc,
-        ["behaviors", "experiment_type", "algorithm", "runs", "packet", "search", "policy"],
-        "experiment",
-    )
-    raw_behaviors = doc.get("behaviors")
-    if not isinstance(raw_behaviors, list) or not raw_behaviors:
-        raise ConfigError("experiment.behaviors: need a non-empty list")
-    behaviors = []
-    for name in raw_behaviors:
-        try:
-            bid = BehaviorId.parse(str(name))
-        except Srv6BenchError as exc:
-            raise ConfigError(f"experiment.behaviors: {exc}") from exc
-        if bid in behaviors:
-            raise ConfigError(f"experiment.behaviors: duplicate entry {bid}")
-        behaviors.append(bid)
-
-    experiment_type = doc.get("experiment_type", "pdr")
-    if experiment_type not in ("pdr", "ndr"):
-        raise ConfigError("experiment.experiment_type: must be 'pdr' or 'ndr'")
-    algorithm = doc.get("algorithm", "binary")
-    if algorithm not in ("binary", "legacy"):
-        raise ConfigError("experiment.algorithm: must be 'binary' or 'legacy'")
-    runs = doc.get("runs", 10)
-    if not _is_positive_int(runs):
-        raise ConfigError("experiment.runs: must be a positive integer")
-
-    packet_doc = _require_mapping(doc.get("packet", {}), "experiment.packet")
-    _reject_unknown(packet_doc, ["inner_size", "inner_kind"], "experiment.packet")
-    inner_kind = packet_doc.get("inner_kind")
-    if inner_kind is not None:
-        try:
-            inner_kind = InnerKind(inner_kind)
-        except ValueError:
-            raise ConfigError(
-                "experiment.packet.inner_kind: must be ipv6, ipv4 or ethernet"
-            ) from None
-    inner_size = packet_doc.get("inner_size")
-    if inner_size is not None and not _is_positive_int(inner_size):
-        raise ConfigError("experiment.packet.inner_size: must be a positive integer")
-    packet = PacketOverrides(inner_size=inner_size, inner_kind=inner_kind)
-
-    search_doc = _require_mapping(doc.get("search", {}), "experiment.search")
-    search = _build(SearchConfig, search_doc, "experiment.search")
-    if experiment_type == "ndr":
+    experiment = _build(ExperimentConfig, _load_yaml(text, "experiment"), "experiment")
+    if experiment.experiment_type == "ndr":
         # NDR is the zero-loss-threshold special case
-        search = replace(search, loss_threshold=0.0)
-    policy_doc = _require_mapping(doc.get("policy", {}), "experiment.policy")
-    policy = _build(TrialPolicy, policy_doc, "experiment.policy")
-
-    return ExperimentConfig(
-        behaviors=tuple(behaviors),
-        experiment_type=experiment_type,
-        algorithm=algorithm,
-        runs=runs,
-        packet=packet,
-        search=search,
-        policy=policy,
-    )
+        search = replace(experiment.search, loss_threshold=0.0)
+        experiment = replace(experiment, search=search)
+    return experiment
 
 
 def parse_testbed_config(text: str) -> TestbedConfig:
@@ -346,66 +363,35 @@ def parse_testbed_config(text: str) -> TestbedConfig:
         )
     link_doc = _require_mapping(doc.get("link", {}), "testbed.link")
     _reject_unknown(link_doc, ["bit_rate_bps"], "testbed.link")
+    bit_rate = _read(link_doc.get("bit_rate_bps", 10e9), float, "testbed.link.bit_rate_bps")
     try:
-        link = LinkSpec(line_bit_rate_bps=float(link_doc.get("bit_rate_bps", 10e9)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"testbed.link: {exc}") from exc
+        link = LinkSpec(line_bit_rate_bps=bit_rate)
+    except ValueError as exc:
+        raise ConfigError(f"testbed.link.bit_rate_bps: {exc}") from exc
 
-    connection = None
-    model = None
-    if kind == "sim":
-        model_doc = doc.get("model")
-        if model_doc is None:
-            raise ConfigError("testbed.model: required for the sim forwarder")
-        model_doc = _require_mapping(model_doc, "testbed.model")
-        _reject_unknown(
-            model_doc,
-            ["capacity_kpps", "capacity_pps", "loss_at_capacity",
-             "curve_exponent", "noise_sigma", "seed"],
-            "testbed.model",
-        )
-        caps_key, scale = "capacity_pps", 1.0
-        if model_doc.get(caps_key) is None:
-            caps_key, scale = "capacity_kpps", 1e3
-        caps_raw = model_doc.get(caps_key)
-        if not isinstance(caps_raw, dict) or not caps_raw:
-            raise ConfigError(
-                "testbed.model: need a non-empty capacity_pps or capacity_kpps map"
-            )
-        capacities = {}
-        for name, value in caps_raw.items():
-            try:
-                bid = BehaviorId.parse(str(name))
-            except Srv6BenchError as exc:
-                raise ConfigError(f"testbed.model capacities: {exc}") from exc
-            try:
-                capacities[bid] = float(value) * scale
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"testbed.model.{caps_key}.{bid}: not a number: {value!r}"
-                ) from None
-        try:
-            model = ForwarderModel(
-                capacity_pps=capacities,
-                loss_at_capacity=float(model_doc.get("loss_at_capacity", 0.01)),
-                curve_exponent=float(model_doc.get("curve_exponent", 4.0)),
-                noise_sigma=float(model_doc.get("noise_sigma", 0.0)),
-                seed=int(model_doc.get("seed", 0)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"testbed.model: {exc}") from exc
-    else:
-        conn_doc = doc.get("connection")
-        if conn_doc is None:
+    if kind != "sim":
+        if doc.get("connection") is None:
             raise ConfigError("testbed.connection: required for remote forwarders")
-        conn_doc = _require_mapping(conn_doc, "testbed.connection")
-        connection = _build(SshConnection, conn_doc, "testbed.connection")
-        if not connection.host:
-            raise ConfigError("testbed.connection.host: required")
+        connection = _build(SshConnection, doc["connection"], "testbed.connection")
+        return TestbedConfig(forwarder_kind=kind, link=link, connection=connection)
 
-    return TestbedConfig(
-        forwarder_kind=kind, link=link, connection=connection, model=model
+    if doc.get("model") is None:
+        raise ConfigError("testbed.model: required for the sim forwarder")
+    scalars = dict(_require_mapping(doc["model"], "testbed.model"))
+    if "capacity_pps" in scalars and "capacity_kpps" in scalars:
+        raise ConfigError("testbed.model: give capacity_pps or capacity_kpps, not both")
+    caps_key, scale = "capacity_pps", 1.0
+    if caps_key not in scalars:
+        caps_key, scale = "capacity_kpps", 1e3
+    capacities = _read(
+        scalars.pop(caps_key, {}), Mapping[BehaviorId, float], f"testbed.model.{caps_key}"
     )
+    if not capacities:
+        raise ConfigError("testbed.model: need a non-empty capacity_pps or capacity_kpps map")
+    capacities = {b: c * scale for b, c in capacities.items()}
+    # behavior_config is not read from the file: _make_driver sets the address plan's
+    model = _build(ForwarderModel, scalars, "testbed.model", capacity_pps=capacities, behavior_config={})
+    return TestbedConfig(forwarder_kind=kind, link=link, model=model)
 
 
 # ---------------------------------------------------------------------------

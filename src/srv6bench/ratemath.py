@@ -34,8 +34,8 @@ class LinkSpec:
     line_bit_rate_bps: float
 
     def __post_init__(self):
-        if self.line_bit_rate_bps <= 0:
-            raise ValueError("line_bit_rate_bps must be positive")
+        if not 0 < self.line_bit_rate_bps < math.inf:  # NaN fails too
+            raise ValueError("line_bit_rate_bps must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,15 @@ class TestRun:
         assert plain["pdr_low_pps"] is None
         assert (out / "trace_End.json").exists()
 
+    def test_out_naming_a_file_exits_2_before_the_campaign(self, configs, tmp_path, capsys):
+        exp, tb = configs
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert run_cmd(exp, tb, out) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write outputs:")
+        assert "PDR midpoint" not in captured.out
+        assert out.read_text() == "keep"
 
     @pytest.mark.parametrize(
         "experiment, testbed, where",
@@ -148,6 +157,73 @@ class TestRun:
                 "", TESTBED + "  noise_sigma: .inf\n", "testbed.model",
                 id="noise_sigma-inf",
             ),
+            pytest.param(
+                "search: {accuracy_percent: .inf}\n", TESTBED,
+                "experiment.search.accuracy_percent", id="accuracy_percent-inf",
+            ),
+            pytest.param(
+                "search: {accuracy_percent: .nan}\n", TESTBED,
+                "experiment.search.accuracy_percent", id="accuracy_percent-nan",
+            ),
+            pytest.param(
+                "search: {trial_duration_s: .inf}\n", TESTBED,
+                "experiment.search.trial_duration_s", id="trial_duration_s-inf",
+            ),
+            pytest.param(
+                "search: {trial_duration_s: .nan}\n", TESTBED,
+                "experiment.search.trial_duration_s", id="trial_duration_s-nan",
+            ),
+            pytest.param(
+                "", TESTBED + "link: {bit_rate_bps: .inf}\n", "testbed.link.bit_rate_bps",
+                id="bit_rate_bps-inf",
+            ),
+            pytest.param(
+                "", TESTBED + "link: {bit_rate_bps: .nan}\n", "testbed.link.bit_rate_bps",
+                id="bit_rate_bps-nan",
+            ),
+            pytest.param(
+                "policy: {max_rx_cv_percent: .nan}\n", TESTBED,
+                "experiment.policy.max_rx_cv_percent", id="max_rx_cv_percent-nan",
+            ),
+            pytest.param(
+                "search: {trial_duration_s: true}\n", TESTBED,
+                "experiment.search.trial_duration_s", id="trial_duration_s-bool",
+            ),
+            pytest.param(
+                "policy: {repetitions: 2.5}\n", TESTBED, "experiment.policy.repetitions",
+                id="repetitions-float",
+            ),
+            pytest.param(
+                "policy: {retry_cap: true}\n", TESTBED, "experiment.policy.retry_cap",
+                id="retry_cap-bool",
+            ),
+            pytest.param(
+                "", TESTBED + "  seed: 1.7\n", "testbed.model.seed", id="seed-float",
+            ),
+            pytest.param(
+                "", TESTBED.replace("End: 900", "End: true"), "testbed.model.capacity_kpps.End",
+                id="capacity-bool",
+            ),
+            pytest.param(
+                "", "forwarder: linux\nconnection: {host: 123}\n", "testbed.connection.host",
+                id="host-int",
+            ),
+            pytest.param(
+                "", "forwarder: linux\nconnection: {host: sut, port: abc}\n",
+                "testbed.connection.port", id="port-str",
+            ),
+            pytest.param(
+                "", "forwarder: linux\nconnection: {port: 22}\n", "testbed.connection.host: required",
+                id="host-missing",
+            ),
+            pytest.param(
+                "", TESTBED + "  capacity_pps: {End: 900000}\n",
+                "testbed.model: give capacity_pps or capacity_kpps, not both", id="capacity-both-units",
+            ),
+            pytest.param(
+                "search: {accuracy_percent: 99}\n", TESTBED,
+                "experiment.search.accuracy_percent", id="accuracy_percent-wider-than-window",
+            ),
         ],
     )
     def test_invalid_value_exits_2_and_writes_nothing(
@@ -179,6 +255,13 @@ class TestOtherCommands:
         assert main(["lpr", "--ip-packet-size", "64"]) == EXIT_OK
         text = capsys.readouterr().out
         assert "12255 kpps" in text
+
+    @pytest.mark.parametrize("bit_rate", ["0", "-1", "nan", "inf"])
+    def test_lpr_bad_bit_rate_exits_2(self, bit_rate, capsys):
+        assert main(["lpr", "--bit-rate", bit_rate, "--ip-packet-size", "64"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --bit-rate:")
+        assert captured.out == ""
 
     def test_packet_hexdump(self, capsys):
         assert main(["packet", "--behavior", "End"]) == EXIT_OK

@@ -1,8 +1,15 @@
+import copy
+import dataclasses
+import math
+import typing
+
 import pytest
+import yaml
+from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId
 from srv6bench.errors import ConfigError, UnsupportedBehaviorError
-from srv6bench.finder import find_pdr
+from srv6bench.finder import SearchConfig, TrialPolicy, find_pdr
 from srv6bench.orchestrator import (
     ADDRESS_PLAN,
     CampaignResult,
@@ -100,6 +107,25 @@ class TestExperimentParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config("- just\n- a list\n")
 
+    def test_missing_behaviors_is_named(self):
+        with pytest.raises(ConfigError, match=r"^experiment\.behaviors: required$"):
+            parse_experiment_config("runs: 3\n")
+
+    def test_legacy_takes_an_accuracy_as_wide_as_the_window(self):
+        # the legacy finder probes the floor and its doublings before bisecting
+        text = "behaviors: [End]\nsearch: {accuracy_percent: 99}\n"
+        with pytest.raises(ConfigError, match="accuracy_percent"):
+            parse_experiment_config(text)
+        cfg = parse_experiment_config(text + "algorithm: legacy\n")
+        assert cfg.search.accuracy_percent == 99
+
+    def test_ints_stay_ints(self):
+        # the simulator's noise draw hashes repr(trial_duration_s)
+        cfg = parse_experiment_config(
+            "behaviors: [End]\nsearch: {trial_duration_s: 10}\n"
+        )
+        assert repr(cfg.search.trial_duration_s) == "10"
+
     def test_packet_overrides(self):
         cfg = parse_experiment_config(
             "behaviors: [End]\npacket: {inner_size: 128}\n"
@@ -119,6 +145,15 @@ class TestTestbedParsing:
             "forwarder: sim\nmodel:\n  capacity_pps:\n    End: 1234\n"
         )
         assert tb.model.capacity_pps[BehaviorId.END] == 1234.0
+
+    def test_numbers_written_as_strings(self):
+        # YAML loads 10e9 as a string, and a quoted capacity is one too
+        tb = parse_testbed_config(
+            'forwarder: sim\nlink: {bit_rate_bps: 10e9}\n'
+            'model: {capacity_kpps: {End: "900"}}\n'
+        )
+        assert tb.link.line_bit_rate_bps == 10e9
+        assert tb.model.capacity_pps[BehaviorId.END] == 900e3
 
     def test_sim_requires_model(self):
         with pytest.raises(ConfigError):
@@ -149,6 +184,76 @@ class TestTestbedParsing:
             parse_testbed_config(
                 "forwarder: sim\nmodel: {capacity_kpps: {Endd: 1}}\n"
             )
+
+
+# Documents whose known keys take arbitrary YAML scalars: each one parses,
+# with every number of its field's declared type and finite, or raises
+# ConfigError; no other exception escapes.
+YAML_SCALARS = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(["10e9", "900", "nan", "-inf", "1e400", "0x10", ""]),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+DOCUMENTS = [
+    (
+        parse_experiment_config,
+        {"behaviors": ["End"]},
+        [("experiment_type",), ("algorithm",), ("runs",), ("behaviors",),
+         ("packet", "inner_size"), ("packet", "inner_kind")]
+        + [("search", f.name) for f in dataclasses.fields(SearchConfig)]
+        + [("policy", f.name) for f in dataclasses.fields(TrialPolicy)],
+    ),
+    (
+        parse_testbed_config,
+        {"forwarder": "sim", "model": {"capacity_kpps": {"End": 900}}},
+        [("link", "bit_rate_bps"), ("model", "capacity_kpps", "End"),
+         ("model", "loss_at_capacity"), ("model", "curve_exponent"),
+         ("model", "noise_sigma"), ("model", "seed")],
+    ),
+    (
+        parse_testbed_config,
+        {"forwarder": "linux", "connection": {"host": "sut"}},
+        [("connection", name) for name in ("host", "port", "user", "key_file")],
+    ),
+]
+
+
+def numbers_of(config):
+    """(declared type, value) of every numeric field, nested ones too."""
+    kinds = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        kind, value = kinds[f.name], getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from numbers_of(value)
+        elif f.name == "capacity_pps":
+            yield from ((float, c) for c in value.values())
+        elif kind in (int, float, typing.Optional[int]):
+            yield kind, value
+
+
+@pytest.mark.parametrize("parse, base, paths", DOCUMENTS, ids=["experiment", "sim", "linux"])
+@given(data=st.data())
+def test_any_scalar_yields_a_config_or_a_config_error(parse, base, paths, data):
+    doc = copy.deepcopy(base)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, unique=True)):
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = data.draw(YAML_SCALARS)
+    try:
+        config = parse(yaml.safe_dump(doc))
+    except ConfigError:
+        return
+    for kind, value in numbers_of(config):
+        if kind is float:
+            assert type(value) in (int, float) and math.isfinite(value)
+        else:
+            assert type(value) is int or (value is None and kind != int)
 
 
 class TestRecipes:
