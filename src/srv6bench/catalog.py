@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 from enum import Enum
 from typing import Optional
 
-from .errors import UnknownBehaviorError, UnsupportedBehaviorError
+from .errors import Srv6BenchError
 
 
 class BehaviorId(str, Enum):
@@ -60,7 +60,7 @@ class BehaviorId(str, Enum):
         try:
             return cls(name)
         except ValueError:
-            raise UnknownBehaviorError(f"unknown behavior: {name!r}") from None
+            raise Srv6BenchError(f"unknown behavior: {name!r}") from None
 
 
 class Category(str, Enum):
@@ -179,13 +179,13 @@ def lookup(behavior: BehaviorId) -> BehaviorSpec:
     try:
         return _BY_ID[BehaviorId(behavior)]
     except (KeyError, ValueError):
-        raise UnknownBehaviorError(f"unknown behavior: {behavior!r}") from None
+        raise Srv6BenchError(f"unknown behavior: {behavior!r}") from None
 
 
 def traffic_requirement(behavior: BehaviorId) -> TrafficRequirement:
     spec = lookup(behavior)
     if spec.traffic is None:
-        raise UnsupportedBehaviorError(
+        raise Srv6BenchError(
             f"{spec.id} has no traffic specification (not measurable)"
         )
     return spec.traffic

@@ -24,8 +24,8 @@ from .orchestrator import (
     parse_testbed_config,
     run_campaign,
 )
-from .packet import hexdump
-from .ratemath import ETHERNET_HEADER_LEN, LinkSpec, line_packet_rate
+from .packet import ETHERNET_LEN, hexdump
+from .ratemath import LinkSpec, line_packet_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,9 +37,9 @@ def _cmd_lpr(args) -> int:
         link = LinkSpec(line_bit_rate_bps=args.bit_rate)
     except ValueError as exc:
         raise ConfigError(f"--bit-rate: {exc}") from None
-    frame = args.ip_packet_size + ETHERNET_HEADER_LEN
+    frame = args.ip_packet_size + ETHERNET_LEN
     pps = line_packet_rate(link, frame)
-    print(f"frame size: {frame} B (IP {args.ip_packet_size} B + {ETHERNET_HEADER_LEN} B Ethernet)")
+    print(f"frame size: {frame} B (IP {args.ip_packet_size} B + {ETHERNET_LEN} B Ethernet)")
     print(f"line packet rate: {pps:.2f} pps ({pps / 1e3:.0f} kpps)")
     return EXIT_OK
 
@@ -127,8 +127,7 @@ def _cmd_report(args) -> int:
     try:
         doc = json.loads(Path(args.campaign).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read campaign file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot read campaign file: {exc}") from None
     result = CampaignResult.from_json_dict(doc)
     if args.format == "csv":
         print(result.to_csv(), end="")
@@ -181,10 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("SRV6BENCH_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("SRV6BENCH_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"SRV6BENCH_LOG: unknown level {level!r}")
+        logging.basicConfig(level=level)
         return args.func(args)
     except Srv6BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

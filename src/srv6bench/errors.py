@@ -5,41 +5,8 @@ class Srv6BenchError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidFrameError(Srv6BenchError):
-    """Frame size below the Ethernet minimum or otherwise unusable."""
-
-
-class UndefinedRatioError(Srv6BenchError):
-    """Delivery ratio requested for a trial with zero offered packets."""
-
-
-class StatsError(Srv6BenchError):
-    """Summary statistics requested for an empty or degenerate sample set."""
-
-
-class UnknownBehaviorError(Srv6BenchError):
-    """Behavior identifier not present in the catalog."""
-
-
-class UnsupportedBehaviorError(Srv6BenchError):
-    """Behavior exists but cannot be exercised (no semantics, no recipe,
-    or not supported by the selected forwarder)."""
-
-
 class RequirementViolationError(Srv6BenchError):
     """Packet does not meet the traffic requirement of a behavior."""
-
-
-class TypeMismatchError(RequirementViolationError):
-    """Inner packet kind does not match what a decap behavior expects."""
-
-
-class CannotAdvanceError(Srv6BenchError):
-    """Segments Left is already zero; no next segment to activate."""
-
-
-class MalformedPacketError(Srv6BenchError):
-    """Byte sequence cannot be decoded into a consistent packet."""
 
 
 class UnstableMeasurementError(Srv6BenchError):
@@ -52,10 +19,6 @@ class ExperimentAbortedError(Srv6BenchError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class DriverUnavailableError(Srv6BenchError):
-    """The requested traffic-generator driver is declared but not usable."""
 
 
 class ConfigError(Srv6BenchError):

@@ -9,7 +9,6 @@ trace of every trial they ran.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -103,10 +102,6 @@ class TraceEntry:
 class FinderTrace:
     entries: list[TraceEntry] = field(default_factory=list)
 
-    @property
-    def distinct_points(self) -> int:
-        return len({e.tx_rate_pps for e in self.entries})
-
     def records(self) -> list[dict]:
         """One plain dict per entry, the form every trace file is written in."""
         return [
@@ -118,9 +113,6 @@ class FinderTrace:
             }
             for e in self.entries
         ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.records(), indent=2)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,7 @@ import yaml
 
 from . import __version__
 from .catalog import BehaviorId, InnerKind, lookup, traffic_requirement
-from .errors import (
-    ConfigError,
-    Srv6BenchError,
-    UnsupportedBehaviorError,
-)
+from .errors import ConfigError, Srv6BenchError
 from .finder import (
     FinderResult,
     FinderTrace,
@@ -41,7 +37,7 @@ from .finder import (
 )
 from .packet import BehaviorConfig, PacketTemplate, Sid, build_test_packet
 from .ratemath import LinkSpec, SummaryStats, line_packet_rate
-from .simulator import ForwarderModel, SimDriver, TrexStatelessDriver
+from .simulator import ForwarderModel, SimDriver
 
 # ---------------------------------------------------------------------------
 # address plan: fixed, documented pool used to render recipe placeholders
@@ -179,7 +175,7 @@ FORWARDER_KINDS = ("linux", "vpp", "sim")
 def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
     spec = lookup(behavior)
     if not spec.measured:
-        raise UnsupportedBehaviorError(
+        raise Srv6BenchError(
             f"{spec.id} is not measurable: no semantics/recipe"
         )
     if forwarder_kind == "sim":
@@ -187,7 +183,7 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
         pairs = ((f"sim set-behavior {name}", f"sim clear-behavior {name}"),)
     elif forwarder_kind in _RECIPES:
         if not getattr(spec, f"{forwarder_kind}_supported"):
-            raise UnsupportedBehaviorError(
+            raise Srv6BenchError(
                 f"{spec.id} is not supported by the {forwarder_kind} forwarder "
                 f"(catalog: {forwarder_kind}_supported=False)"
             )
@@ -405,8 +401,8 @@ class CommandExecutor(Protocol):
 
 
 class RecordingExecutor:
-    """Accepts every command and records it; the default for sim testbeds
-    and the verification hook for ordering tests."""
+    """Accepts every command and records it; the default executor and the
+    verification hook for ordering tests."""
 
     def __init__(self):
         self.commands: list[str] = []
@@ -414,23 +410,6 @@ class RecordingExecutor:
     def execute(self, command: str) -> tuple[int, str]:
         self.commands.append(command)
         return 0, ""
-
-
-class SshExecutor:
-    """Remote-shell executor bound to a testbed connection descriptor.
-
-    The transport is not wired up in this build; execute() reports the
-    driver gap instead of silently succeeding.
-    """
-
-    def __init__(self, connection: SshConnection):
-        self.connection = connection
-
-    def execute(self, command: str) -> tuple[int, str]:
-        return 1, (
-            f"ssh transport to {self.connection.host} is not available "
-            f"in this build"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -594,17 +573,15 @@ def default_behavior_configs() -> dict[BehaviorId, BehaviorConfig]:
 
 
 def _make_driver(behavior, template, testbed: TestbedConfig):
-    if testbed.forwarder_kind == "sim":
-        testbed.model.capacity(behavior)  # no capacity: fail before any setup
-        model = replace(testbed.model, behavior_config=default_behavior_configs())
-        return SimDriver(model, behavior, template)
-    return TrexStatelessDriver(host=testbed.connection.host)
-
-
-def _make_executor(testbed: TestbedConfig) -> CommandExecutor:
-    if testbed.forwarder_kind == "sim":
-        return RecordingExecutor()
-    return SshExecutor(testbed.connection)
+    if testbed.forwarder_kind != "sim":
+        # no driver for a remote traffic generator: fail before any setup
+        raise Srv6BenchError(
+            f"no traffic generator for the {testbed.forwarder_kind} forwarder: "
+            f"the TRex driver is not available in this build"
+        )
+    testbed.model.capacity(behavior)  # no capacity: fail before any setup
+    model = replace(testbed.model, behavior_config=default_behavior_configs())
+    return SimDriver(model, behavior, template)
 
 
 def run_campaign(
@@ -622,7 +599,7 @@ def run_campaign(
     driver_factory are injection points for tests (a recording mock, a
     scripted driver).
     """
-    executor = executor or _make_executor(testbed)
+    executor = executor or RecordingExecutor()
     driver_factory = driver_factory or _make_driver
     algorithm = find_pdr if experiment.algorithm == "binary" else find_pdr_legacy
 

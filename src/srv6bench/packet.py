@@ -22,13 +22,7 @@ from .catalog import (
     lookup,
     traffic_requirement,
 )
-from .errors import (
-    CannotAdvanceError,
-    MalformedPacketError,
-    RequirementViolationError,
-    TypeMismatchError,
-    UnsupportedBehaviorError,
-)
+from .errors import RequirementViolationError, Srv6BenchError
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -196,11 +190,6 @@ class PacketTemplate:
     def frame_size(self) -> int:
         return sum(_layer_len(layer) for layer in self.layers)
 
-    @property
-    def ip_packet_size(self) -> int:
-        """Frame size minus the outer Ethernet header."""
-        return self.frame_size - ETHERNET_LEN
-
 
 def _check_nesting(layers: Sequence[Layer]) -> None:
     if not layers:
@@ -249,6 +238,8 @@ def encode(template: PacketTemplate) -> bytes:
             hdr += b"".join(sid.value for sid in layer.segments)
             body = hdr + body
         elif isinstance(layer, IPv6Header):
+            if len(body) > 0xFFFF:
+                raise Srv6BenchError(f"IPv6 payload length {len(body)} exceeds 65535")
             word0 = (6 << 28) | (layer.traffic_class << 20) | layer.flow_label
             hdr = (
                 word0.to_bytes(4, "big")
@@ -260,6 +251,8 @@ def encode(template: PacketTemplate) -> bytes:
             body = hdr + body
         elif isinstance(layer, IPv4Header):
             total_length = IPV4_HEADER_LEN + len(body)
+            if total_length > 0xFFFF:
+                raise Srv6BenchError(f"IPv4 total length {total_length} exceeds 65535")
             hdr = bytearray(20)
             hdr[0] = (4 << 4) | 5
             hdr[1] = layer.tos
@@ -281,15 +274,15 @@ def encode(template: PacketTemplate) -> bytes:
 
 def _decode_ipv6(data: bytes) -> list[Layer]:
     if len(data) < IPV6_HEADER_LEN:
-        raise MalformedPacketError("truncated IPv6 header")
+        raise Srv6BenchError("truncated IPv6 header")
     word0 = int.from_bytes(data[0:4], "big")
     if word0 >> 28 != 6:
-        raise MalformedPacketError("IPv6 version field is not 6")
+        raise Srv6BenchError("IPv6 version field is not 6")
     payload_length = int.from_bytes(data[4:6], "big")
     next_header = data[6]
     rest = data[IPV6_HEADER_LEN:]
     if payload_length != len(rest):
-        raise MalformedPacketError("IPv6 payload length does not match frame")
+        raise Srv6BenchError("IPv6 payload length does not match frame")
     header = IPv6Header(
         next_header=next_header,
         src=data[8:24],
@@ -303,20 +296,20 @@ def _decode_ipv6(data: bytes) -> list[Layer]:
 
 def _decode_srh(data: bytes) -> list[Layer]:
     if len(data) < SRH_FIXED_LEN:
-        raise MalformedPacketError("truncated routing header")
+        raise Srv6BenchError("truncated routing header")
     next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags = data[:6]
     if routing_type != SRH_ROUTING_TYPE:
-        raise MalformedPacketError(f"unsupported routing type {routing_type}")
+        raise Srv6BenchError(f"unsupported routing type {routing_type}")
     if hdr_ext_len % 2 != 0 or hdr_ext_len == 0:
-        raise MalformedPacketError("inconsistent SRH extension length")
+        raise Srv6BenchError("inconsistent SRH extension length")
     n = hdr_ext_len // 2
     total = SRH_FIXED_LEN + SID_LEN * n
     if last_entry != n - 1:
-        raise MalformedPacketError("SRH last entry disagrees with length")
+        raise Srv6BenchError("SRH last entry disagrees with length")
     if segments_left > last_entry:
-        raise MalformedPacketError("segments left exceeds last entry")
+        raise Srv6BenchError("segments left exceeds last entry")
     if len(data) < total:
-        raise MalformedPacketError("truncated SRH segment list")
+        raise Srv6BenchError("truncated SRH segment list")
     tag = int.from_bytes(data[6:8], "big")
     segments = tuple(
         Sid(data[SRH_FIXED_LEN + i * SID_LEN : SRH_FIXED_LEN + (i + 1) * SID_LEN])
@@ -334,14 +327,14 @@ def _decode_srh(data: bytes) -> list[Layer]:
 
 def _decode_ipv4(data: bytes) -> list[Layer]:
     if len(data) < IPV4_HEADER_LEN:
-        raise MalformedPacketError("truncated IPv4 header")
+        raise Srv6BenchError("truncated IPv4 header")
     if data[0] != ((4 << 4) | 5):
-        raise MalformedPacketError("unsupported IPv4 version/IHL")
+        raise Srv6BenchError("unsupported IPv4 version/IHL")
     total_length = int.from_bytes(data[2:4], "big")
     if total_length != len(data):
-        raise MalformedPacketError("IPv4 total length does not match frame")
+        raise Srv6BenchError("IPv4 total length does not match frame")
     if _ipv4_checksum(data[:IPV4_HEADER_LEN]) != 0:
-        raise MalformedPacketError("bad IPv4 header checksum")
+        raise Srv6BenchError("bad IPv4 header checksum")
     header = IPv4Header(
         protocol=data[9],
         src=data[12:16],
@@ -356,7 +349,7 @@ def _decode_ipv4(data: bytes) -> list[Layer]:
 
 def _decode_ethernet(data: bytes) -> list[Layer]:
     if len(data) < ETHERNET_LEN:
-        raise MalformedPacketError("truncated Ethernet header")
+        raise Srv6BenchError("truncated Ethernet header")
     eth = Ethernet(
         dst=data[0:6],
         src=data[6:12],
@@ -439,7 +432,6 @@ _INNER_ETHERTYPE = {
 def build_test_packet(
     req: TrafficRequirement,
     sid_plan: Sequence[Sid] = (),
-    segments_left: Optional[int] = None,
 ) -> PacketTemplate:
     """Build the wire packet a traffic requirement calls for.
 
@@ -462,14 +454,11 @@ def build_test_packet(
             f"need at least {req.min_sids} SIDs, got {len(sid_plan)}"
         )
     segments = tuple(reversed(tuple(sid_plan)))
-    if segments_left is None:
-        segments_left = len(segments) - 1 if req.active_sid_must_not_be_last else 0
+    segments_left = len(segments) - 1 if req.active_sid_must_not_be_last else 0
     if req.active_sid_must_not_be_last and segments_left == 0:
         raise RequirementViolationError(
             "active SID must not be the last SID for this behavior"
         )
-    if not 0 <= segments_left < len(segments):
-        raise RequirementViolationError("segments_left outside the segment list")
 
     srh = SegmentRoutingHeader(
         next_header=_INNER_NEXT_HEADER[req.inner_kind],
@@ -531,7 +520,7 @@ def _advance(template: PacketTemplate) -> PacketTemplate:
     """Decrement Segments Left, update the destination, decrement hop limit."""
     eth, outer, srh, inner = _split_outer(template)
     if srh.segments_left == 0:
-        raise CannotAdvanceError("segments left is already 0")
+        raise Srv6BenchError("segments left is already 0")
     new_srh = replace(srh, segments_left=srh.segments_left - 1)
     new_outer = replace(
         outer, dst=new_srh.active_sid.value, hop_limit=max(outer.hop_limit - 1, 0)
@@ -562,7 +551,7 @@ def _decap(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
         # single-segment encapsulation carries no SRH
         last_nh, inner = outer.next_header, layers[2:]
     if last_nh != expected:
-        raise TypeMismatchError(
+        raise RequirementViolationError(
             f"inner packet is not {kind.value} (next header {last_nh})"
         )
     if kind is InnerKind.ETHERNET:
@@ -636,11 +625,11 @@ def _plain_forward(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
     layers = template.layers
     if kind is InnerKind.IPV6:
         if len(layers) < 2 or not isinstance(layers[1], IPv6Header):
-            raise TypeMismatchError("expected an IPv6 packet")
+            raise RequirementViolationError("expected an IPv6 packet")
         hdr = replace(layers[1], hop_limit=max(layers[1].hop_limit - 1, 0))
     else:
         if len(layers) < 2 or not isinstance(layers[1], IPv4Header):
-            raise TypeMismatchError("expected an IPv4 packet")
+            raise RequirementViolationError("expected an IPv4 packet")
         hdr = replace(layers[1], ttl=max(layers[1].ttl - 1, 0))
     return PacketTemplate((layers[0], hdr) + layers[2:])
 
@@ -682,7 +671,7 @@ def apply_behavior(
     try:
         transform, kind, target = _SEMANTICS[spec.id]
     except KeyError:
-        raise UnsupportedBehaviorError(f"{spec.id} semantics are not implemented") from None
+        raise Srv6BenchError(f"{spec.id} semantics are not implemented") from None
     cfg = cfg or DEFAULT_BEHAVIOR_CONFIG
     if target != "main":
         target = getattr(cfg, target)

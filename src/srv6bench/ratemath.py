@@ -11,9 +11,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidFrameError, StatsError, UndefinedRatioError
+from .errors import Srv6BenchError
 
-ETHERNET_HEADER_LEN = 14
 # 4 bytes CRC + 8 bytes preamble/SFD + 12 bytes inter-frame gap
 ETHERNET_OVERHEAD = 24
 MIN_FRAME_SIZE = 64
@@ -58,10 +57,6 @@ class TrialSample:
             raise ValueError("packet counts must be non-negative")
 
     @property
-    def tx_rate_pps(self) -> float:
-        return self.tx_packets / self.duration_s
-
-    @property
     def throughput_pps(self) -> float:
         return self.rx_packets / self.duration_s
 
@@ -88,7 +83,7 @@ def line_packet_rate(link: LinkSpec, frame_size: int) -> float:
     or inter-frame gap (those are the ETHERNET_OVERHEAD bytes).
     """
     if frame_size < MIN_FRAME_SIZE:
-        raise InvalidFrameError(
+        raise Srv6BenchError(
             f"frame_size {frame_size} below Ethernet minimum {MIN_FRAME_SIZE}"
         )
     return link.line_bit_rate_bps / (8.0 * (frame_size + ETHERNET_OVERHEAD))
@@ -97,14 +92,14 @@ def line_packet_rate(link: LinkSpec, frame_size: int) -> float:
 def delivery_ratio(sample: TrialSample) -> float:
     """Fraction of offered packets that the forwarder delivered back."""
     if sample.tx_packets == 0:
-        raise UndefinedRatioError("delivery ratio undefined for zero offered packets")
+        raise Srv6BenchError("delivery ratio undefined for zero offered packets")
     return sample.rx_packets / sample.tx_packets
 
 
 def summarize(samples: Sequence[float]) -> SummaryStats:
     """Mean/CV/CI95 over a set of rate samples (packets/second)."""
     if not samples:
-        raise StatsError("cannot summarize an empty sample list")
+        raise Srv6BenchError("cannot summarize an empty sample list")
     n = len(samples)
     mean = statistics.fmean(samples)
     if n == 1:
@@ -113,7 +108,7 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
     if mean == 0.0:
         if s == 0.0:
             return SummaryStats(mean=0.0, cv_percent=0.0, ci95_percent=0.0, n=n)
-        raise StatsError("CV undefined: zero mean with nonzero deviation")
+        raise Srv6BenchError("CV undefined: zero mean with nonzero deviation")
     cv = 100.0 * s / mean
     ci95 = 100.0 * (Z_95 * s / math.sqrt(n)) / mean
     return SummaryStats(mean=mean, cv_percent=abs(cv), ci95_percent=abs(ci95), n=n)

@@ -15,11 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol
 
 from .catalog import BehaviorId, traffic_requirement
-from .errors import (
-    DriverUnavailableError,
-    RequirementViolationError,
-    UnknownBehaviorError,
-)
+from .errors import RequirementViolationError, Srv6BenchError
 from .packet import (
     BehaviorConfig,
     ForwardAction,
@@ -65,7 +61,7 @@ class ForwarderModel:
         try:
             return self.capacity_pps[behavior]
         except KeyError:
-            raise UnknownBehaviorError(
+            raise Srv6BenchError(
                 f"no capacity configured for {behavior}"
             ) from None
 
@@ -197,15 +193,3 @@ class SimDriver:
         self._trials = 0
         self.last_report = None
 
-
-class TrexStatelessDriver:
-    """Declared driver for a hardware tester; wire integration is stubbed."""
-
-    def __init__(self, host: str, port: int = 4501):
-        self.host = host
-        self.port = port
-
-    def run_trial(self, rate_pps: float, duration_s: float) -> TrialSample:
-        raise DriverUnavailableError(
-            "TRex stateless automation is not available in this build"
-        )

@@ -118,8 +118,8 @@ def test_criterion_2_finder_matches_analytic_oracle(suite_results):
 
 
 def test_criterion_3_step_count_bounds(suite_results):
-    binary_points = [b.trace.distinct_points for _, b, _ in suite_results]
-    legacy_points = [l.trace.distinct_points for _, _, l in suite_results]
+    binary_points = [len({e.tx_rate_pps for e in b.trace.entries}) for _, b, _ in suite_results]
+    legacy_points = [len({e.tx_rate_pps for e in l.trace.entries}) for _, _, l in suite_results]
     assert max(binary_points) <= 7
     assert max(legacy_points) <= 13
     # the legacy two-phase search never beats the pure binary search's

@@ -11,7 +11,7 @@ from srv6bench.catalog import (
     spec_as_dict,
     traffic_requirement,
 )
-from srv6bench.errors import UnknownBehaviorError, UnsupportedBehaviorError
+from srv6bench.errors import Srv6BenchError
 
 
 def test_registry_size_and_uniqueness():
@@ -51,7 +51,8 @@ def test_measured_entries_are_fully_specified():
         if s.measured:
             assert traffic_requirement(s.id) is s.traffic
         else:
-            with pytest.raises(UnsupportedBehaviorError):
+            message = rf"^{s.id} has no traffic specification \(not measurable\)$"
+            with pytest.raises(Srv6BenchError, match=message):
                 traffic_requirement(s.id)
 
 
@@ -69,12 +70,12 @@ def test_parse_round_trips_display_names():
 
 
 def test_parse_rejects_unknown():
-    with pytest.raises(UnknownBehaviorError):
+    with pytest.raises(Srv6BenchError, match="^unknown behavior: 'End.Bogus'$"):
         BehaviorId.parse("End.Bogus")
 
 
 def test_lookup_rejects_unknown():
-    with pytest.raises(UnknownBehaviorError):
+    with pytest.raises(Srv6BenchError, match="^unknown behavior: 'not-a-behavior'$"):
         lookup("not-a-behavior")
 
 
@@ -112,7 +113,8 @@ def test_headend_traffic_is_unencapsulated():
 
 
 def test_unmeasured_behavior_has_no_traffic_spec():
-    with pytest.raises(UnsupportedBehaviorError):
+    message = r"^End.AD has no traffic specification \(not measurable\)$"
+    with pytest.raises(Srv6BenchError, match=message):
         traffic_requirement(BehaviorId.END_AD)
 
 

@@ -103,6 +103,21 @@ class TestRun:
         assert plain["pdr_low_pps"] is None
         assert (out / "trace_End.json").exists()
 
+    def test_oversized_packet_is_a_per_behavior_error(self, tmp_path, capsys):
+        # a 100000 B inner packet overflows the 16-bit IPv6 payload length
+        exp = tmp_path / "e.yaml"
+        exp.write_text("behaviors: [End, PlainIPv6]\nruns: 1\npacket: {inner_size: 100000}\n")
+        tb = tmp_path / "t.yaml"
+        tb.write_text(TESTBED + "    PlainIPv6: 1221\n")
+        out = tmp_path / "o"
+        assert run_cmd(exp, tb, out) == EXIT_PARTIAL
+        behaviors = json.loads((out / "campaign.json").read_text())["behaviors"]
+        assert [b["behavior"] for b in behaviors] == ["End", "PlainIPv6"]
+        for b in behaviors:
+            assert b["error"].endswith(" pps: IPv6 payload length 99960 exceeds 65535")
+            assert b["pdr_low_pps"] is None
+        assert capsys.readouterr().err == ""
+
     def test_out_naming_a_file_exits_2_before_the_campaign(self, configs, tmp_path, capsys):
         exp, tb = configs
         out = tmp_path / "taken"
@@ -295,8 +310,9 @@ class TestOtherCommands:
         assert rc == EXIT_OK
         assert capsys.readouterr().out.startswith("behavior,forwarder,")
 
-    def test_report_missing_file(self, tmp_path):
+    def test_report_missing_file(self, tmp_path, capsys):
         assert main(["report", "--campaign", str(tmp_path / "x.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: cannot read campaign file: [Errno 2]")
 
     @pytest.mark.parametrize(
         "doc", ['{"behaviors": [{"behavior": "End"}]}', "[]"], ids=["missing-keys", "list"]
@@ -306,3 +322,10 @@ class TestOtherCommands:
         path.write_text(doc)
         assert main(["report", "--campaign", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: campaign: malformed document")
+
+    def test_unknown_log_level_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("SRV6BENCH_LOG", "VERBOSE")
+        assert main(["behaviors"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "error: SRV6BENCH_LOG: unknown level 'VERBOSE'\n"
+        assert captured.out == ""

@@ -8,7 +8,8 @@ import yaml
 from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId
-from srv6bench.errors import ConfigError, UnsupportedBehaviorError
+from srv6bench.cli import EXIT_PARTIAL, main
+from srv6bench.errors import ConfigError, Srv6BenchError
 from srv6bench.finder import SearchConfig, TrialPolicy, find_pdr
 from srv6bench.orchestrator import (
     ADDRESS_PLAN,
@@ -16,7 +17,6 @@ from srv6bench.orchestrator import (
     ExperimentConfig,
     RecordingExecutor,
     SshConnection,
-    SshExecutor,
     TestbedConfig as BenchTestbedConfig,
     default_behavior_configs,
     parse_experiment_config,
@@ -27,7 +27,7 @@ from srv6bench.orchestrator import (
 )
 from srv6bench.packet import BehaviorConfig, Sid
 from srv6bench.ratemath import LinkSpec
-from srv6bench.simulator import ForwarderModel
+from srv6bench.simulator import ForwarderModel, SimDriver
 
 SIM_TESTBED_YAML = """
 forwarder: sim
@@ -270,7 +270,8 @@ class TestRecipes:
         assert undone == list(recipe.steps)
 
     def test_end_dt4_not_available_on_linux(self):
-        with pytest.raises(UnsupportedBehaviorError):
+        message = r"^End.DT4 is not supported by the linux forwarder \(catalog: linux_supported=False\)$"
+        with pytest.raises(Srv6BenchError, match=message):
             recipe_for(BehaviorId.END_DT4, "linux")
 
     def test_end_dt4_available_on_vpp(self):
@@ -288,7 +289,7 @@ class TestRecipes:
         assert recipe.teardown == ("sim clear-behavior End",)
 
     def test_unmeasured_behavior_has_no_recipe(self):
-        with pytest.raises(UnsupportedBehaviorError):
+        with pytest.raises(Srv6BenchError, match="^End.AD is not measurable: no semantics/recipe$"):
             recipe_for(BehaviorId.END_AD, "vpp")
 
     def test_unknown_forwarder_kind(self):
@@ -417,8 +418,15 @@ class TestCampaign:
         )
         recipe = recipe_for(BehaviorId.END, "linux")
         executor = FailSecondStep()
+
+        def sim_factory(behavior, template, testbed):
+            return SimDriver(ForwarderModel({behavior: 900e3}), behavior, template)
+
         result = run_campaign(
-            ExperimentConfig(behaviors=(BehaviorId.END,), runs=1), linux, executor=executor
+            ExperimentConfig(behaviors=(BehaviorId.END,), runs=1),
+            linux,
+            executor=executor,
+            driver_factory=sim_factory,
         )
         assert executor.commands == [*recipe.steps, recipe.teardown[-1]]
         assert recipe.teardown[-1] == recipe.steps[0].replace(" add ", " del ")
@@ -441,9 +449,7 @@ class TestCampaign:
         def dead_factory(behavior, template, testbed):
             class DeadDriver:
                 def run_trial(self, rate_pps, duration_s):
-                    from srv6bench.errors import DriverUnavailableError
-
-                    raise DriverUnavailableError("gone")
+                    raise Srv6BenchError("gone")
 
             return DeadDriver()
 
@@ -452,6 +458,8 @@ class TestCampaign:
             experiment, sim_testbed(), executor=executor, driver_factory=dead_factory
         )
         assert result.partial
+        assert result.entries[0].error.startswith("driver failure at ")
+        assert result.entries[0].error.endswith(" pps: gone")
         assert executor.commands[-1] == "sim clear-behavior End"
 
     def test_missing_capacity_is_a_per_behavior_error(self):
@@ -500,8 +508,23 @@ class TestCampaignSerialization:
         assert lines[1].startswith("End,sim,")
 
 
-def test_ssh_executor_reports_missing_transport():
-    ex = SshExecutor(SshConnection(host="203.0.113.5"))
-    status, output = ex.execute("ip -6 route add")
-    assert status == 1
-    assert "not available" in output
+@pytest.mark.parametrize("kind", ["linux", "vpp"])
+def test_remote_campaign_fails_every_behavior_before_any_command(kind, tmp_path):
+    # no traffic generator drives a remote forwarder in this build: every
+    # behavior fails before its first setup step, so the SUT gets nothing
+    testbed_yaml = f"forwarder: {kind}\nconnection: {{host: sut.example}}\n"
+    experiment = ExperimentConfig(behaviors=(BehaviorId.END, BehaviorId.PLAIN_IPV6), runs=1)
+    executor = RecordingExecutor()
+    result = run_campaign(experiment, parse_testbed_config(testbed_yaml), executor=executor)
+    missing = (
+        f"no traffic generator for the {kind} forwarder: "
+        "the TRex driver is not available in this build"
+    )
+    assert [e.error for e in result.entries] == [missing, missing]
+    assert executor.commands == []
+
+    exp, tb = tmp_path / "e.yaml", tmp_path / "t.yaml"
+    exp.write_text("behaviors: [End, PlainIPv6]\nruns: 1\n")
+    tb.write_text(testbed_yaml)
+    argv = ["run", "--experiment", str(exp), "--testbed", str(tb), "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PARTIAL

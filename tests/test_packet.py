@@ -7,18 +7,13 @@ itself.
 
 import ipaddress
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
-from srv6bench.errors import (
-    CannotAdvanceError,
-    MalformedPacketError,
-    RequirementViolationError,
-    TypeMismatchError,
-    UnsupportedBehaviorError,
-)
+from srv6bench.errors import RequirementViolationError, Srv6BenchError
 from srv6bench.packet import (
     BehaviorConfig,
     Ethernet,
@@ -145,44 +140,59 @@ class TestCodecRoundTrip:
 
 class TestDecodeRejectsGarbage:
     def test_truncated_frame(self):
-        with pytest.raises(MalformedPacketError):
+        with pytest.raises(Srv6BenchError, match="^truncated Ethernet header$"):
             decode(b"\x00" * 10)
 
     def test_truncated_ipv6(self, end_template):
         raw = encode(end_template)
-        with pytest.raises(MalformedPacketError):
+        with pytest.raises(Srv6BenchError, match="^truncated IPv6 header$"):
             decode(raw[:30])
 
     def test_payload_length_mismatch(self, end_template):
         raw = bytearray(encode(end_template))
         raw[18] ^= 0x01
-        with pytest.raises(MalformedPacketError):
+        with pytest.raises(Srv6BenchError, match="^IPv6 payload length does not match frame$"):
             decode(bytes(raw))
 
     def test_bad_routing_type(self, end_template):
         raw = bytearray(encode(end_template))
         raw[56] = 3  # routing type field inside the SRH
-        with pytest.raises(MalformedPacketError):
+        with pytest.raises(Srv6BenchError, match="^unsupported routing type 3$"):
             decode(bytes(raw))
 
     def test_srh_last_entry_mismatch(self, end_template):
         raw = bytearray(encode(end_template))
         raw[58] = 5  # last entry field disagrees with hdr ext len
-        with pytest.raises(MalformedPacketError):
+        with pytest.raises(Srv6BenchError, match="^SRH last entry disagrees with length$"):
             decode(bytes(raw))
 
     def test_corrupted_ipv4_checksum(self):
         req = traffic_requirement(BehaviorId.PLAIN_IPV4)
         raw = bytearray(encode(build_test_packet(req, [])))
         raw[24] ^= 0xFF
-        with pytest.raises(MalformedPacketError):
+        with pytest.raises(Srv6BenchError, match="^bad IPv4 header checksum$"):
             decode(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "behavior, message",
+    [
+        (BehaviorId.PLAIN_IPV6, "IPv6 payload length 65536 exceeds 65535"),
+        (BehaviorId.PLAIN_IPV4, "IPv4 total length 65536 exceeds 65535"),
+    ],
+    ids=["ipv6", "ipv4"],
+)
+def test_encode_rejects_a_length_field_over_65535(behavior, message):
+    req = traffic_requirement(behavior)
+    size = (40 if req.inner_kind is InnerKind.IPV6 else 0) + 65535
+    assert len(encode(build_test_packet(replace(req, inner_packet_size=size), []))) == 14 + size
+    with pytest.raises(Srv6BenchError, match=f"^{message}$"):
+        encode(build_test_packet(replace(req, inner_packet_size=size + 1), []))
 
 
 class TestBuildTestPacket:
     def test_end_frame_size(self, end_template):
         assert end_template.frame_size == 158
-        assert end_template.ip_packet_size == 144
 
     def test_headend_encaps_frame_size(self):
         req = traffic_requirement(BehaviorId.H_ENCAPS)
@@ -200,9 +210,10 @@ class TestBuildTestPacket:
             build_test_packet(req, [SID1])
 
     def test_forbidden_segments_left_rejected(self):
-        req = traffic_requirement(BehaviorId.END)
-        with pytest.raises(RequirementViolationError):
-            build_test_packet(req, [SID1, SID2], segments_left=0)
+        # one SID would put End's active SID last
+        req = replace(traffic_requirement(BehaviorId.END), min_sids=1)
+        with pytest.raises(RequirementViolationError, match="active SID must not be the last SID"):
+            build_test_packet(req, [SID1])
 
     def test_decap_packet_sits_at_last_segment(self, dt6_template):
         srh = dt6_template.layers[2]
@@ -228,7 +239,7 @@ class TestEndpointTransforms:
         assert out.layers[3:] == end_template.layers[3:]
 
     def test_end_at_last_segment_cannot_advance(self, dt6_template):
-        with pytest.raises(CannotAdvanceError):
+        with pytest.raises(Srv6BenchError, match="^segments left is already 0$"):
             apply_behavior(BehaviorId.END, dt6_template)
 
     def test_end_x_uses_adjacency(self, end_template):
@@ -250,7 +261,8 @@ class TestEndpointTransforms:
     def test_dt6_refuses_ipv4_inner(self):
         req = traffic_requirement(BehaviorId.END_DT4)
         t = build_test_packet(req, [SID1, SID2])
-        with pytest.raises(TypeMismatchError):
+        message = r"^inner packet is not ipv6 \(next header 4\)$"
+        with pytest.raises(RequirementViolationError, match=message):
             apply_behavior(BehaviorId.END_DT6, t)
 
     def test_dx2_exposes_the_inner_frame(self):
@@ -331,7 +343,7 @@ class TestPlainForwarding:
         assert out.layers[1].ttl == t.layers[1].ttl - 1
 
     def test_unimplemented_behavior_rejected(self, end_template):
-        with pytest.raises(UnsupportedBehaviorError):
+        with pytest.raises(Srv6BenchError, match="^End.AD semantics are not implemented$"):
             apply_behavior(BehaviorId.END_AD, end_template)
 
 
@@ -343,11 +355,13 @@ def test_implemented_semantics_are_the_measured_set(end_template):
     for spec in catalog():
         try:
             template = build_test_packet(traffic_requirement(spec.id), [SID1, SID2])
-        except UnsupportedBehaviorError:
+        except Srv6BenchError as exc:
+            assert str(exc) == f"{spec.id} has no traffic specification (not measurable)"
             template = end_template
         try:
             apply_behavior(spec.id, template, cfg)
-        except UnsupportedBehaviorError:
+        except Srv6BenchError as exc:
+            assert str(exc) == f"{spec.id} semantics are not implemented"
             continue
         implemented.add(spec.id)
     assert implemented == {s.id for s in catalog() if s.measured}

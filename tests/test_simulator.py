@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
-from srv6bench.errors import (
-    DriverUnavailableError,
-    RequirementViolationError,
-    UnknownBehaviorError,
-)
+from srv6bench.errors import RequirementViolationError, Srv6BenchError
 from srv6bench.packet import build_test_packet
 from srv6bench.simulator import (
     ForwarderModel,
     SimDriver,
-    TrexStatelessDriver,
     analytic_pdr,
     delivery_model,
     run_trial,
@@ -103,7 +98,7 @@ class TestRunTrial:
 
     def test_unknown_capacity_rejected(self, end_template):
         m = ForwarderModel({BehaviorId.END_T: 1e6})
-        with pytest.raises(UnknownBehaviorError):
+        with pytest.raises(Srv6BenchError, match="^no capacity configured for End$"):
             run_trial(m, END, end_template, 1_000_000, 1.0)
 
     def test_exhausted_hop_limit_blackholes(self, end_template):
@@ -167,12 +162,6 @@ class TestModelValidation:
     def test_bad_exponent(self):
         with pytest.raises(ValueError):
             model(curve_exponent=0.5)
-
-
-def test_trex_driver_is_stubbed():
-    d = TrexStatelessDriver("198.51.100.7")
-    with pytest.raises(DriverUnavailableError):
-        d.run_trial(1_000_000, 10.0)
 
 
 def test_headend_behavior_needs_config(end_template):
