@@ -35,7 +35,7 @@ from .finder import (
     find_pdr_legacy,
     validate_pdr,
 )
-from .packet import BehaviorConfig, PacketTemplate, Sid, build_test_packet
+from .packet import BehaviorConfig, PacketTemplate, Sid, build_test_packet, encode
 from .ratemath import LinkSpec, SummaryStats, line_packet_rate
 from .simulator import ForwarderModel, SimDriver
 
@@ -273,10 +273,15 @@ def _reject_unknown(doc: Mapping, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
 
 
+# libyaml's scanner and parser under PyYAML's safe constructor and resolver:
+# the values of yaml.safe_load, parsed in C where PyYAML was built with libyaml
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(text: str, where: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=_SAFE_LOADER)
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml reads UTF-8: no lone surrogate
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
     if doc is None:
         raise ConfigError(f"{where}: empty document")
@@ -593,11 +598,11 @@ def run_campaign(
     """Run every requested behavior sequentially against one testbed.
 
     Per-behavior failures are recorded and the campaign continues. The
-    driver is built before the first setup step, and the setup steps a
-    behavior issued are always undone, last one first; a failed undo
-    joins that behavior's error. executor and
-    driver_factory are injection points for tests (a recording mock, a
-    scripted driver).
+    test packet is encoded once and the driver built before the first
+    setup step, and the setup steps a behavior issued are always undone,
+    last one first; a failed undo joins that behavior's error. executor
+    and driver_factory are injection points for tests (a recording mock,
+    a scripted driver).
     """
     executor = executor or RecordingExecutor()
     driver_factory = driver_factory or _make_driver
@@ -617,6 +622,7 @@ def run_campaign(
             template, recipe = resolve(behavior, testbed, experiment.packet)
             frame_size = template.frame_size
             lpr = line_packet_rate(testbed.link, frame_size)
+            encode(template)  # a packet the codec cannot write fails before any setup step
             driver = driver_factory(behavior, template, testbed)
             for step in recipe.steps:
                 status, output = executor.execute(step)

@@ -7,7 +7,6 @@ presentation concern only.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,15 +95,45 @@ def delivery_ratio(sample: TrialSample) -> float:
     return sample.rx_packets / sample.tx_packets
 
 
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """sqrt(n/m) for non-negative integers n and m > 0, correctly rounded.
+
+    The integer square root is taken with at least 54 significant bits
+    and rounded to odd (its last bit says whether it was exact), so the
+    one rounding to float at the end is correct.
+    """
+    shift = (n.bit_length() - m.bit_length() - 109) // 2
+    if shift >= 0:
+        m <<= 2 * shift
+    else:
+        n <<= -2 * shift
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def summarize(samples: Sequence[float]) -> SummaryStats:
-    """Mean/CV/CI95 over a set of rate samples (packets/second)."""
+    """Mean/CV/CI95 over a set of rate samples (packets/second).
+
+    The mean is math.fsum(samples) / n. The sample standard deviation is
+    computed exactly on integers and correctly rounded, so it is the
+    value statistics.stdev returns on Python 3.11 and later.
+    """
     if not samples:
         raise Srv6BenchError("cannot summarize an empty sample list")
+    try:
+        ratios = [x.as_integer_ratio() for x in samples]
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise Srv6BenchError("cannot summarize a NaN or infinite sample") from None
     n = len(samples)
-    mean = statistics.fmean(samples)
+    mean = math.fsum(samples) / n
     if n == 1:
         return SummaryStats(mean=mean, cv_percent=0.0, ci95_percent=0.0, n=1)
-    s = statistics.stdev(samples)
+    # every denominator is a power of two: put the samples over the largest
+    d = max(den for _, den in ratios)
+    xs = [num * (d // den) for num, den in ratios]
+    sx = sum(xs)
+    s = _sqrt_of_frac(n * sum(x * x for x in xs) - sx * sx, n * (n - 1) * d * d)
     if mean == 0.0:
         if s == 0.0:
             return SummaryStats(mean=0.0, cv_percent=0.0, ci95_percent=0.0, n=n)

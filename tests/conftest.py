@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
@@ -8,6 +10,9 @@ SID2 = Sid.from_str("fc00:0:0:2::1")
 
 # 10GbE line packet rate for a 64-byte IP packet (78-byte frame)
 LPR_64 = 10e9 / (8.0 * (78 + 24))
+
+# the shipped configuration files
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture

@@ -1,11 +1,20 @@
+import hashlib
 import json
+import re
 
 import pytest
 
 from srv6bench.catalog import BehaviorId, catalog
 from srv6bench.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
-from srv6bench.orchestrator import parse_testbed_config, resolve
+from srv6bench.orchestrator import (
+    RecordingExecutor,
+    parse_experiment_config,
+    parse_testbed_config,
+    resolve,
+    run_campaign,
+)
 from srv6bench.packet import hexdump
+from conftest import SHIPPED
 
 EXPERIMENT = """
 behaviors: [End, H.Encaps]
@@ -104,19 +113,28 @@ class TestRun:
         assert (out / "trace_End.json").exists()
 
     def test_oversized_packet_is_a_per_behavior_error(self, tmp_path, capsys):
-        # a 100000 B inner packet overflows the 16-bit IPv6 payload length
+        # a 100000 B inner packet overflows the 16-bit IPv6 payload length;
+        # the codec says so before any setup step
+        experiment = "behaviors: [End, PlainIPv6]\nruns: 1\npacket: {inner_size: 100000}\n"
+        testbed = TESTBED + "    PlainIPv6: 1221\n"
         exp = tmp_path / "e.yaml"
-        exp.write_text("behaviors: [End, PlainIPv6]\nruns: 1\npacket: {inner_size: 100000}\n")
+        exp.write_text(experiment)
         tb = tmp_path / "t.yaml"
-        tb.write_text(TESTBED + "    PlainIPv6: 1221\n")
+        tb.write_text(testbed)
         out = tmp_path / "o"
         assert run_cmd(exp, tb, out) == EXIT_PARTIAL
         behaviors = json.loads((out / "campaign.json").read_text())["behaviors"]
         assert [b["behavior"] for b in behaviors] == ["End", "PlainIPv6"]
         for b in behaviors:
-            assert b["error"].endswith(" pps: IPv6 payload length 99960 exceeds 65535")
+            assert b["error"] == "IPv6 payload length 99960 exceeds 65535"
             assert b["pdr_low_pps"] is None
         assert capsys.readouterr().err == ""
+
+        executor = RecordingExecutor()
+        run_campaign(
+            parse_experiment_config(experiment), parse_testbed_config(testbed), executor=executor
+        )
+        assert executor.commands == []
 
     def test_out_naming_a_file_exits_2_before_the_campaign(self, configs, tmp_path, capsys):
         exp, tb = configs
@@ -252,6 +270,51 @@ class TestRun:
         assert run_cmd(exp, tb, out) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: {where}")
         assert not out.exists()
+
+
+# sha256 of each output of `srv6bench run` on the shipped sim configs, with
+# campaign.json's started_at and finished_at blanked; recorded on CPython 3.11
+PINNED_OUTPUTS = {
+    "noiseless": {
+        "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
+        "campaign.json": "14ea4abf5434318b5a468f50f4bcae84a26c3354b14b309c903366876ba15c34",
+        "plot_data.csv": "beee06308db1aacc30b4bf316f787c5c141cb0cb0a356cb0648e35aba4326ba6",
+        "trace_End.json": "efc03f9007cec9853160622aff5fe517cec5cac3a650c721ee1887e7c1454378",
+        "trace_End_DT6.json": "d0f750926696073132162591c74c8976bc9d982e86ca234c57d7e38050df6a78",
+        "trace_H_Encaps.json": "092ecd851bb03cbf2a101a30069168c3716f301dd9f7bea9acca1c957ca817f2",
+        "trace_PlainIPv6.json": "de5ccf5dd256a9617777ee11827486718b7fd00eeb9ae4022a561f1442fb7904",
+    },
+    "noisy": {
+        "campaign.csv": "8f0ce8203c6fa8be32b3780923ff921b9b6c4e9bc8b8a5662b1fb8177b68f4a2",
+        "campaign.json": "558a72f0f142a1ca0631ab8211beb3c426abc4548ff20e845d75f5f3eb282c55",
+        "plot_data.csv": "72b473e9efe3e0d20aa61c00cc15c7497e1acfb153f78ca2633d07209b093f8a",
+        "trace_End.json": "3de9c95e28031e0e4db5c62bc3a8b0123b356db26fa70b25986b4a7523dc31e5",
+        "trace_End_DT6.json": "9d673241c359b448f58704d233c135e514f870e96108e5038584b8b22de5264b",
+        "trace_H_Encaps.json": "9fd3a2ed7f6925f7e6cc271eb7b100e46b9deb24b890fa0b289c9607d4a6feb6",
+        "trace_PlainIPv6.json": "28fe5a448c255229b4ae1312908f60a6ac6e7dcafc959fd549fae6a4e6f72be7",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "noise_sigma, pinned", [("0.0", "noiseless"), ("0.002", "noisy")], ids=["noiseless", "noisy"]
+)
+def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, capsys):
+    testbed = (SHIPPED / "testbed.sim.yaml").read_text()
+    assert "noise_sigma: 0.0\n" in testbed
+    tb = tmp_path / "testbed.yaml"
+    tb.write_text(testbed.replace("noise_sigma: 0.0\n", f"noise_sigma: {noise_sigma}\n"))
+    out = tmp_path / "out"
+    assert run_cmd(SHIPPED / "experiment.sim.yaml", tb, out) == EXIT_OK
+    digests = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.name == "campaign.json":
+            data = re.sub(rb'"(started_at|finished_at)": "[^"]*"', rb'"\1": ""', data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == PINNED_OUTPUTS[pinned]
+    if pinned == "noisy":
+        assert "CV 0.000%" not in capsys.readouterr().out
 
 
 class TestOtherCommands:

@@ -18,6 +18,7 @@ from srv6bench.orchestrator import (
     RecordingExecutor,
     SshConnection,
     TestbedConfig as BenchTestbedConfig,
+    _load_yaml,
     default_behavior_configs,
     parse_experiment_config,
     parse_testbed_config,
@@ -28,6 +29,7 @@ from srv6bench.orchestrator import (
 from srv6bench.packet import BehaviorConfig, Sid
 from srv6bench.ratemath import LinkSpec
 from srv6bench.simulator import ForwarderModel, SimDriver
+from conftest import SHIPPED
 
 SIM_TESTBED_YAML = """
 forwarder: sim
@@ -52,6 +54,32 @@ def sim_testbed(capacities=None):
         link=LinkSpec(line_bit_rate_bps=10e9),
         model=ForwarderModel(capacity_pps=caps),
     )
+
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param((SHIPPED / "experiment.sim.yaml").read_text(), id="experiment.sim"),
+        pytest.param((SHIPPED / "testbed.sim.yaml").read_text(), id="testbed.sim"),
+        pytest.param("link: {bit_rate_bps: 10e9}\n", id="10e9"),
+        pytest.param("noise_sigma: .nan\nseed: .inf\n", id="nan-inf"),
+        pytest.param("flag: true\nother: no\nnone: ~\n", id="bool-null"),
+        pytest.param("model: {capacity_kpps: {End: 900, End.T: 1.5e3}, seed: 0x1f}\n", id="flow-map"),
+        pytest.param("behaviors: [End, 'End.DT6', \"H.Encaps\"]\nruns: 1_0\n", id="flow-list"),
+    ],
+)
+def test_load_yaml_returns_what_safe_load_returns(text):
+    # repr: NaN is not equal to itself, and 1 must not load as 1.0
+    assert repr(_load_yaml(text, "experiment")) == repr(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize(
+    "text", ["behaviors: [End\n", "a: b: c\n", "a: \x00\n", "a: *nope\n", "a: \ud800\n"]
+)
+def test_load_yaml_rejects_invalid_yaml(text):
+    with pytest.raises(ConfigError, match="^experiment: invalid YAML: "):
+        _load_yaml(text, "experiment")
 
 
 class TestExperimentParsing:

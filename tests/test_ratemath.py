@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -126,3 +128,62 @@ class TestSummarize:
         b = summarize([x * scale for x in samples])
         assert b.cv_percent == pytest.approx(a.cv_percent, rel=1e-6, abs=1e-9)
         assert b.ci95_percent == pytest.approx(a.ci95_percent, rel=1e-6, abs=1e-9)
+
+
+# finite samples whose squared deviations stay in the normal float range,
+# where statistics.stdev is exact up to its final roundings
+MAGNITUDES = st.floats(min_value=1e-100, max_value=1e100)
+FINITE = st.one_of(
+    MAGNITUDES,
+    MAGNITUDES.map(lambda x: -x),
+    st.just(0.0),
+    st.integers(min_value=-(10**15), max_value=10**15),
+    # close together, like the received rates of near-band repeats
+    st.floats(min_value=7.4e5, max_value=7.6e5),
+)
+SAMPLES = st.one_of(
+    st.lists(FINITE, min_size=2, max_size=12),
+    # repeated values
+    st.lists(FINITE, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=12)
+    ),
+)
+
+
+def reference(samples, s):
+    """(cv_percent, ci95_percent) from statistics, with standard deviation s."""
+    mean = statistics.fmean(samples)
+    n = len(samples)
+    return abs(100.0 * s / mean), abs(100.0 * (1.96 * s / math.sqrt(n)) / mean)
+
+
+class TestSummarizeAgainstStatistics:
+    @given(samples=SAMPLES)
+    def test_matches_statistics(self, samples):
+        s = statistics.stdev(samples)
+        if statistics.fmean(samples) == 0.0 and s != 0.0:
+            with pytest.raises(Srv6BenchError, match="^CV undefined: zero mean with nonzero deviation$"):
+                summarize(samples)
+            return
+        got = summarize(samples)
+        assert got.mean == statistics.fmean(samples)
+        if got.mean == 0.0:
+            assert (got.cv_percent, got.ci95_percent) == (0.0, 0.0)
+            return
+        if sys.version_info >= (3, 11):
+            # statistics.stdev is correctly rounded: bit-identical
+            assert (got.cv_percent, got.ci95_percent) == reference(samples, s)
+        else:
+            # 3.10 rounds the variance, then its square root: within one ulp
+            neighbours = (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf))
+            assert (got.cv_percent, got.ci95_percent) in [reference(samples, x) for x in neighbours]
+
+    @given(
+        samples=st.lists(FINITE, min_size=0, max_size=11),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        at=st.integers(min_value=0, max_value=11),
+    )
+    def test_nan_or_infinite_sample_rejected(self, samples, bad, at):
+        samples.insert(at, bad)
+        with pytest.raises(Srv6BenchError, match="^cannot summarize a NaN or infinite sample$"):
+            summarize(samples)
