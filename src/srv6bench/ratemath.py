@@ -98,9 +98,10 @@ def delivery_ratio(sample: TrialSample) -> float:
 def _sqrt_of_frac(n: int, m: int) -> float:
     """sqrt(n/m) for non-negative integers n and m > 0, correctly rounded.
 
-    The integer square root is taken with at least 54 significant bits
-    and rounded to odd (its last bit says whether it was exact), so the
-    one rounding to float at the end is correct.
+    n/m is first scaled by a power of four to at least 2**108, so its
+    integer square root has at least 55 bits, two more than a float. The
+    root is rounded to odd (its last bit says whether it was exact), so
+    the one rounding to float at the end is correct.
     """
     shift = (n.bit_length() - m.bit_length() - 109) // 2
     if shift >= 0:
