@@ -97,7 +97,7 @@ def _cmd_run(args) -> int:
     try:
         experiment_text = Path(args.experiment).read_text(encoding="utf-8")
         testbed_text = Path(args.testbed).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from None
     experiment = parse_experiment_config(experiment_text)
     testbed = parse_testbed_config(testbed_text)
@@ -126,7 +126,7 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     try:
         doc = json.loads(Path(args.campaign).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read campaign file: {exc}") from None
     result = CampaignResult.from_json_dict(doc)
     if args.format == "csv":

@@ -23,7 +23,7 @@ from typing import (
 import yaml
 
 from . import __version__
-from .catalog import BehaviorId, InnerKind, lookup, traffic_requirement
+from .catalog import BehaviorId, lookup, traffic_requirement
 from .errors import ConfigError, Srv6BenchError
 from .finder import (
     FinderResult,
@@ -205,7 +205,6 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
 @dataclass(frozen=True)
 class PacketOverrides:
     inner_size: Optional[int] = None
-    inner_kind: Optional[InnerKind] = None
 
     def __post_init__(self):
         if self.inner_size is not None and self.inner_size < 1:
@@ -548,8 +547,6 @@ def packet_for(
     req = traffic_requirement(behavior)
     if packet and packet.inner_size is not None:
         req = replace(req, inner_packet_size=packet.inner_size)
-    if packet and packet.inner_kind is not None:
-        req = replace(req, inner_kind=packet.inner_kind)
     return build_test_packet(req, _SID_PLAN)
 
 

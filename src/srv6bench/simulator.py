@@ -114,12 +114,12 @@ def run_trial(
     template: PacketTemplate,
     rate_pps: float,
     duration_s: float,
-    nonce: int = 0,
+    rng: Optional[random.Random] = None,
 ) -> SimTrialReport:
     """Offer traffic for a fixed duration and report what came back.
 
-    nonce distinguishes otherwise-identical trials (e.g. repetitions in
-    a batch) so each gets an independent but reproducible noise draw.
+    A noisy model takes its draw from rng, which SimDriver keeps per
+    driver; a noiseless one needs none.
     """
     if rate_pps <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
@@ -140,9 +140,6 @@ def run_trial(
     else:
         expected = p_in * delivery_model(model, behavior, rate_pps)
         if model.noise_sigma > 0:
-            rng = random.Random(
-                f"{model.seed}|{behavior.value}|{rate_pps!r}|{duration_s!r}|{nonce}"
-            )
             expected *= 1.0 + rng.gauss(0.0, model.noise_sigma)
         p_out = min(max(round(expected), 0), p_in)
     sample = TrialSample(tx_packets=p_in, rx_packets=p_out, duration_s=duration_s)
@@ -163,8 +160,9 @@ class TrafficDriver(Protocol):
 class SimDriver:
     """Reference driver: runs trials against a ForwarderModel.
 
-    Keeps a trial counter so repeated trials at the same rate draw fresh
-    noise; reset() restores full reproducibility for a new campaign.
+    A noisy model gets one generator per driver, seeded once from the
+    model seed and the behavior, so each trial draws the next noise value;
+    reset() reseeds it for a new campaign.
     """
 
     def __init__(
@@ -173,23 +171,16 @@ class SimDriver:
         self.model = model
         self.behavior = behavior
         self.template = template
-        self._trials = 0
-        self.last_report: Optional[SimTrialReport] = None
+        self.reset()
 
     def run_trial(self, rate_pps: float, duration_s: float) -> TrialSample:
         report = run_trial(
-            self.model,
-            self.behavior,
-            self.template,
-            rate_pps,
-            duration_s,
-            nonce=self._trials,
+            self.model, self.behavior, self.template, rate_pps, duration_s, self._rng
         )
-        self._trials += 1
         self.last_report = report
         return report.sample
 
     def reset(self) -> None:
-        self._trials = 0
-        self.last_report = None
-
+        noisy = self.model.noise_sigma > 0
+        self._rng = random.Random(f"{self.model.seed}|{self.behavior.value}") if noisy else None
+        self.last_report: Optional[SimTrialReport] = None

@@ -15,6 +15,18 @@ LPR_64 = 10e9 / (8.0 * (78 + 24))
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
+class CountingDriver:
+    """Passes trials to the wrapped driver and counts them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.trials = 0
+
+    def run_trial(self, rate_pps, duration_s):
+        self.trials += 1
+        return self.inner.run_trial(rate_pps, duration_s)
+
+
 @pytest.fixture
 def end_template():
     """Canonical End test packet: outer IPv6 + 2-SID SRH + 64B inner IPv6."""

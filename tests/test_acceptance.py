@@ -41,7 +41,7 @@ from srv6bench.packet import (
 )
 from srv6bench.ratemath import LinkSpec, line_packet_rate
 from srv6bench.simulator import ForwarderModel, SimDriver, analytic_pdr
-from conftest import SID1, SID2, LPR_64
+from conftest import SID1, SID2, LPR_64, CountingDriver
 
 END = BehaviorId.END
 TEN_GIG = LinkSpec(line_bit_rate_bps=10e9)
@@ -203,10 +203,10 @@ def test_criterion_6_repetition_policy():
     rate = analytic_pdr(m, END, 0.005)
 
     # expected DR exactly at the threshold: exactly K = 5 trials
-    d = SimDriver(m, END, END_TEMPLATE)
+    d = CountingDriver(SimDriver(m, END, END_TEMPLATE))
     _, used = evaluate_point(d, rate, 10.0, 0.005, policy)
     assert used == 5
-    assert d._trials == 5
+    assert d.trials == 5
 
     # well off the threshold: a single trial stands
     d = SimDriver(m, END, END_TEMPLATE)

@@ -257,6 +257,10 @@ class TestRun:
                 "search: {accuracy_percent: 99}\n", TESTBED,
                 "experiment.search.accuracy_percent", id="accuracy_percent-wider-than-window",
             ),
+            pytest.param(
+                "packet: {inner_kind: ipv4}\n", TESTBED,
+                "experiment.packet: unknown key(s) ['inner_kind']", id="inner_kind-removed",
+            ),
         ],
     )
     def test_invalid_value_exits_2_and_writes_nothing(
@@ -271,9 +275,20 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"error: {where}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["experiment", "testbed"])
+    def test_non_utf8_config_exits_2_and_writes_nothing(self, bad, configs, tmp_path, capsys):
+        files = dict(zip(("experiment", "testbed"), configs))
+        files[bad].write_bytes(files[bad].read_bytes() + b"# caf\xe9\n")
+        out = tmp_path / "o"
+        assert run_cmd(files["experiment"], files["testbed"], out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read configuration: 'utf-8' codec can't decode")
+        assert not out.exists()
+
 
 # sha256 of each output of `srv6bench run` on the shipped sim configs, with
-# campaign.json's started_at and finished_at blanked; recorded on CPython 3.11
+# campaign.json's started_at and finished_at blanked; recorded on CPython 3.11.
+# The noisy digests follow the per-driver noise generator's draw order
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
@@ -285,13 +300,13 @@ PINNED_OUTPUTS = {
         "trace_PlainIPv6.json": "de5ccf5dd256a9617777ee11827486718b7fd00eeb9ae4022a561f1442fb7904",
     },
     "noisy": {
-        "campaign.csv": "8f0ce8203c6fa8be32b3780923ff921b9b6c4e9bc8b8a5662b1fb8177b68f4a2",
-        "campaign.json": "558a72f0f142a1ca0631ab8211beb3c426abc4548ff20e845d75f5f3eb282c55",
-        "plot_data.csv": "72b473e9efe3e0d20aa61c00cc15c7497e1acfb153f78ca2633d07209b093f8a",
-        "trace_End.json": "3de9c95e28031e0e4db5c62bc3a8b0123b356db26fa70b25986b4a7523dc31e5",
-        "trace_End_DT6.json": "9d673241c359b448f58704d233c135e514f870e96108e5038584b8b22de5264b",
-        "trace_H_Encaps.json": "9fd3a2ed7f6925f7e6cc271eb7b100e46b9deb24b890fa0b289c9607d4a6feb6",
-        "trace_PlainIPv6.json": "28fe5a448c255229b4ae1312908f60a6ac6e7dcafc959fd549fae6a4e6f72be7",
+        "campaign.csv": "7542400fe81d6a7de9c521aa076df0c9c0c4770aa5f855f9abcc188bbc7fe7ba",
+        "campaign.json": "ef6526d7eb4c9bb028776faf4d405106a6b7e3cf700a5d090bd6c79238c50c98",
+        "plot_data.csv": "49faf0da0b188d01c72c35ec6fa93891490a5da5536a8f1be6943ce79ccb39ac",
+        "trace_End.json": "f6247879dad81fd5c7a246713a418fe2bfd5c1734a7d505dcc41f36565bf7192",
+        "trace_End_DT6.json": "b7402f1758d74f8767d87c8861ba1f61eac297aae7e4eb48312f7c78ffdbda4c",
+        "trace_H_Encaps.json": "4d356f025eadee15b29fb09a5658a28fe9aa59e2c169f46aa0d06250aaef9f84",
+        "trace_PlainIPv6.json": "a9949e4d8bbeef0524749abe29f3c5943f88424a5a201e4960fec5af33c1e48a",
     },
 }
 
@@ -376,6 +391,13 @@ class TestOtherCommands:
     def test_report_missing_file(self, tmp_path, capsys):
         assert main(["report", "--campaign", str(tmp_path / "x.json")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: cannot read campaign file: [Errno 2]")
+
+    def test_report_non_utf8_campaign(self, tmp_path, capsys):
+        path = tmp_path / "campaign.json"
+        path.write_bytes(b'{"forwarder": "caf\xe9"}')
+        assert main(["report", "--campaign", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read campaign file: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
         "doc", ['{"behaviors": [{"behavior": "End"}]}', "[]"], ids=["missing-keys", "list"]

@@ -2,6 +2,8 @@
 the simulated forwarder plus its closed-form inversion as an oracle for
 the searches themselves."""
 
+import itertools
+
 import pytest
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
@@ -22,9 +24,9 @@ from srv6bench.finder import (
     validate_pdr,
 )
 from srv6bench.packet import build_test_packet
-from srv6bench.ratemath import TrialSample
+from srv6bench.ratemath import TrialSample, delivery_ratio
 from srv6bench.simulator import ForwarderModel, SimDriver, analytic_pdr
-from conftest import SID1, SID2, LPR_64
+from conftest import SID1, SID2, LPR_64, CountingDriver
 
 END = BehaviorId.END
 TEMPLATE = build_test_packet(traffic_requirement(END), [SID1, SID2])
@@ -112,14 +114,24 @@ class TestEvaluatePoint:
         assert used2 == 1
 
     def test_seeded_heavy_noise_is_unstable(self):
-        # sigma 0.2 swamps the 1% CV cap; seed 36 puts the first draw
-        # inside the band so the repetition path actually runs
-        m = ForwarderModel({END: 5_000_000}, noise_sigma=0.2, seed=36)
-        rate = analytic_pdr(m, END, 0.005)
-        d = SimDriver(m, END, TEMPLATE)
+        # sigma 0.2 swamps the 1% CV cap; the seed is the first whose first
+        # draw lands inside the band, so the repetition path actually runs
+        rate = analytic_pdr(ForwarderModel({END: 5_000_000}), END, 0.005)
+
+        def driver(seed):
+            m = ForwarderModel({END: 5_000_000}, noise_sigma=0.2, seed=seed)
+            return SimDriver(m, END, TEMPLATE)
+
+        def first_in_band(seed):
+            dr = delivery_ratio(driver(seed).run_trial(rate, 10.0))
+            return abs(dr - 0.995) <= self.POLICY.near_band
+
+        seed = next((s for s in range(1000) if first_in_band(s)), None)
+        assert seed is not None
+        d = CountingDriver(driver(seed))
         with pytest.raises(UnstableMeasurementError):
             evaluate_point(d, rate, 10.0, 0.005, self.POLICY)
-        assert d._trials == 15
+        assert d.trials == 15
 
 
 class TestBinarySearch:
@@ -247,17 +259,24 @@ class TestValidatePdr:
         assert v.stats.ci95_percent == 0.0
 
     def test_seeded_noise_cv_bound(self):
-        # sharp knee (exponent 128) with sigma 0.005, frozen seed: the
-        # midpoint CV across 10 runs stays under 2 * sigma * 100%
-        d = sim_driver(
-            5_000_000,
-            loss_at_capacity=0.01,
-            curve_exponent=128.0,
-            noise_sigma=0.005,
-            seed=27,
-        )
-        v = validate_pdr(d, LPR_64, runs=10)
-        assert v.stats.cv_percent <= 1.0
+        # sharp knee (exponent 128), 20 seeds. At sigma 0.005 every search
+        # still ends unflagged inside the accuracy; the midpoint CV across
+        # 10 runs is bounded only at sigma 0.001, where every seed meets it
+        for sigma, seed in itertools.product((0.005, 0.001), range(20)):
+            d = sim_driver(
+                5_000_000,
+                loss_at_capacity=0.01,
+                curve_exponent=128.0,
+                noise_sigma=sigma,
+                seed=seed,
+            )
+            v = validate_pdr(d, LPR_64, runs=10)
+            assert v.stats.n == 10
+            for r in v.results:
+                assert r.flags == ()
+                assert r.interval.width_pps <= LPR_64 / 100.0
+            if sigma == 0.001:
+                assert v.stats.cv_percent <= 1.0
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -232,7 +232,7 @@ DOCUMENTS = [
         parse_experiment_config,
         {"behaviors": ["End"]},
         [("experiment_type",), ("algorithm",), ("runs",), ("behaviors",),
-         ("packet", "inner_size"), ("packet", "inner_kind")]
+         ("packet", "inner_size")]
         + [("search", f.name) for f in dataclasses.fields(SearchConfig)]
         + [("policy", f.name) for f in dataclasses.fields(TrialPolicy)],
     ),

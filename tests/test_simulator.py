@@ -1,3 +1,6 @@
+import math
+import random
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -111,29 +114,32 @@ class TestRunTrial:
         assert report.forwarded_template.layers[1].hop_limit == 0
         assert report.sample.rx_packets == 0
 
-    def test_noise_is_deterministic_per_nonce(self, end_template):
-        # probe near capacity where expected loss is ~1%, so small noise
-        # draws cannot clamp against the offered count
-        m = model(noise_sigma=0.002, seed=5)
-        a = run_trial(m, END, end_template, 4_900_000, 10.0, nonce=0)
-        b = run_trial(m, END, end_template, 4_900_000, 10.0, nonce=0)
-        c = run_trial(m, END, end_template, 4_900_000, 10.0, nonce=1)
-        assert a.sample == b.sample
-        assert a.sample != c.sample
-
-    def test_seed_changes_the_draw(self, end_template):
-        a = run_trial(model(noise_sigma=0.002, seed=1), END, end_template, 4.9e6, 10.0)
-        b = run_trial(model(noise_sigma=0.002, seed=2), END, end_template, 4.9e6, 10.0)
-        assert a.sample != b.sample
-
     def test_noise_never_exceeds_offered(self, end_template):
-        m = model(noise_sigma=0.5, seed=9)
-        for nonce in range(50):
-            s = run_trial(m, END, end_template, 4_900_000, 1.0, nonce=nonce).sample
+        d = SimDriver(model(noise_sigma=0.5, seed=9), END, end_template)
+        for _ in range(50):
+            s = d.run_trial(4_900_000, 1.0)
             assert 0 <= s.rx_packets <= s.tx_packets
 
 
+def draws(seed=5, behavior=END):
+    """rx counts of 8 successive trials at one rate: probed near capacity,
+    where expected loss is ~1%, so small draws cannot clamp."""
+    m = ForwarderModel({behavior: 5_000_000}, noise_sigma=0.002, seed=seed)
+    t = build_test_packet(traffic_requirement(behavior), [SID1, SID2])
+    d = SimDriver(m, behavior, t)
+    return [d.run_trial(4_900_000, 10.0).rx_packets for _ in range(8)]
+
+
 class TestSimDriver:
+    def test_same_seed_and_behavior_draw_the_same_sequence(self):
+        first = draws()
+        assert first == draws()
+        assert len(set(first)) > 1
+
+    def test_seed_or_behavior_changes_the_sequence(self):
+        assert draws(seed=6) != draws()
+        assert draws(behavior=BehaviorId.END_T) != draws()
+
     def test_repeat_trials_draw_fresh_noise_then_reset_restores(self, end_template):
         d = SimDriver(model(noise_sigma=0.01, seed=3), END, end_template)
         first = [d.run_trial(3_000_000, 10.0) for _ in range(4)]
@@ -141,6 +147,39 @@ class TestSimDriver:
         d.reset()
         again = [d.run_trial(3_000_000, 10.0) for _ in range(4)]
         assert first == again
+
+    def test_one_generator_per_noisy_driver_none_when_noiseless(
+        self, end_template, monkeypatch
+    ):
+        seeds = []
+
+        class SeedRecorder(random.Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", SeedRecorder)
+        d = SimDriver(model(), END, end_template)
+        for _ in range(5):
+            d.run_trial(4_900_000, 1.0)
+        d.reset()
+        assert seeds == []
+        d = SimDriver(model(noise_sigma=0.01, seed=3), END, end_template)
+        for _ in range(5):
+            d.run_trial(4_900_000, 1.0)
+        d.reset()
+        assert seeds == ["3|End", "3|End"]
+
+    def test_draws_have_the_configured_spread(self, end_template):
+        # at twice the capacity the delivery ratio is 0.495, so neither
+        # the 0 clamp nor the tx clamp binds at sigma 0.01
+        sigma, n = 0.01, 2000
+        m = model(noise_sigma=sigma, seed=11)
+        d = SimDriver(m, END, end_template)
+        expected = 100_000_000 * delivery_model(m, END, 10_000_000)
+        dev = [d.run_trial(10_000_000, 10.0).rx_packets / expected - 1.0 for _ in range(n)]
+        assert abs(statistics.fmean(dev)) <= 4 * sigma / math.sqrt(n)
+        assert statistics.stdev(dev) == pytest.approx(sigma, rel=0.1)
 
     def test_last_report_is_kept(self, end_template):
         d = SimDriver(model(), END, end_template)
