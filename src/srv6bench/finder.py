@@ -4,14 +4,16 @@ and the multi-run validation wrapper.
 
 Both finders return an interval [low, high] of offered rates whose width
 is at most epsilon = line_packet_rate * accuracy_percent / 100, plus a
-trace of every trial they ran.
+trace of every trial they ran. A short screening trial decides each rate
+whose delivery ratio is clearly on one side of the threshold; every bound
+a finder reports rests on full-duration trials.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
 
@@ -20,7 +22,7 @@ from .errors import (
     Srv6BenchError,
     UnstableMeasurementError,
 )
-from .ratemath import SummaryStats, delivery_ratio, summarize
+from .ratemath import SummaryStats, delivery_ratio, summarize, t_95
 from .simulator import TrafficDriver
 
 RAISE_LOW = "raise-low"
@@ -28,6 +30,11 @@ LOWER_HIGH = "lower-high"
 
 FLAG_LINE_RATE_LIMITED = "line-rate-limited"
 FLAG_BELOW_SEARCH_FLOOR = "below-search-floor"
+
+# A screening trial lasts trial_duration_s / SCREEN_DIVISOR.
+SCREEN_DIVISOR = 10
+# Fewest near-band trials whose mean DR may decide a rate.
+MIN_DECIDING = 3
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,7 @@ class TrialPolicy:
     loss threshold."""
 
     near_band: float = 0.0025
+    # most trials in one batch; a batch stops early once its DRs decide
     repetitions: int = 5
     max_rx_cv_percent: float = 1.0
     retry_cap: int = 3
@@ -97,7 +105,9 @@ class TraceEntry:
     tx_rate_pps: float
     delivery_ratio: float
     decision: str
+    # every trial run at this rate, and their seconds, screen included
     repetitions: int
+    testbed_s: float
 
 
 @dataclass
@@ -112,6 +122,7 @@ class FinderTrace:
                 "delivery_ratio": e.delivery_ratio,
                 "decision": e.decision,
                 "repetitions": e.repetitions,
+                "testbed_s": e.testbed_s,
             }
             for e in self.entries
         ]
@@ -124,6 +135,25 @@ class FinderResult:
     trace: FinderTrace
 
 
+def _stands_alone(dr: float, pass_mark: float, near_band: float) -> bool:
+    """One trial decides its rate when its DR is 1 or outside the near band."""
+    return dr == 1.0 or abs(dr - pass_mark) > near_band
+
+
+def _decided(drs: list[float], pass_mark: float) -> bool:
+    """Whether at least MIN_DECIDING delivery ratios put their mean farther
+    from the pass mark than its 95% Student-t half-width t * s / sqrt(n)."""
+    n = len(drs)
+    if n < MIN_DECIDING:
+        return False
+    # deviations from the first DR, so that equal DRs have s = 0 exactly
+    devs = [x - drs[0] for x in drs]
+    mean_dev = math.fsum(devs) / n
+    gap = drs[0] - pass_mark + mean_dev
+    squares = math.fsum((d - mean_dev) ** 2 for d in devs)
+    return gap * gap * n * (n - 1) > t_95(n - 1) ** 2 * squares
+
+
 def evaluate_point(
     driver: TrafficDriver,
     tx_rate_pps: float,
@@ -134,10 +164,12 @@ def evaluate_point(
     """Measure the delivery ratio at one rate, repeating near the threshold.
 
     A single trial stands when its DR is 1 or comfortably away from the
-    threshold. Inside the near band the trial is repeated to
-    policy.repetitions total and the mean DR is accepted only if the CV
-    of the received rates stays under the cap; the whole batch is
-    retried up to policy.retry_cap times before giving up.
+    threshold. Inside the near band the trial is repeated until the DRs
+    decide the threshold (at least MIN_DECIDING of them, their mean
+    outside its 95% Student-t interval) or policy.repetitions have run.
+    The mean DR is accepted only if the CV of the received rates stays
+    under the cap; the whole batch is retried up to policy.retry_cap
+    times before giving up.
 
     Returns (delivery ratio, trials used).
     """
@@ -146,60 +178,104 @@ def evaluate_point(
     pass_mark = 1.0 - loss_threshold
     sample = driver.run_trial(tx_rate_pps, duration_s)
     dr = delivery_ratio(sample)
-    if dr == 1.0 or abs(dr - pass_mark) > policy.near_band:
+    if _stands_alone(dr, pass_mark, policy.near_band):
         return dr, 1
 
     trials_used = 1
-    for batch in range(policy.retry_cap):
-        if batch == 0:
-            samples = [sample]
-        else:
-            samples = []
-        while len(samples) < policy.repetitions:
-            samples.append(driver.run_trial(tx_rate_pps, duration_s))
+    samples, drs = [sample], [dr]
+    for _ in range(policy.retry_cap):
+        while len(samples) < policy.repetitions and not _decided(drs, pass_mark):
+            sample = driver.run_trial(tx_rate_pps, duration_s)
+            samples.append(sample)
+            drs.append(delivery_ratio(sample))
             trials_used += 1
         rx_rates = [s.throughput_pps for s in samples]
         if summarize(rx_rates).cv_percent <= policy.max_rx_cv_percent:
             # plain left-to-right addition on every Python (sum() compensates from 3.12)
-            mean_dr = reduce(operator.add, map(delivery_ratio, samples)) / len(samples)
-            return mean_dr, trials_used
+            return reduce(operator.add, drs) / len(drs), trials_used
+        samples, drs = [], []
     raise UnstableMeasurementError(
         f"rx rate CV stayed above {policy.max_rx_cv_percent}% "
         f"after {policy.retry_cap} batches at {tx_rate_pps:.0f} pps"
     )
 
 
-def _probe(driver, rate, cfg, policy, trace) -> bool:
-    """Evaluate one rate, record it in the trace and say whether it passed."""
+def _probe(driver, rate, cfg, policy, trace, screen=True) -> bool:
+    """Evaluate one rate, record it in the trace and say whether it passed.
+
+    With screen, a trial of trial_duration_s / SCREEN_DIVISOR comes first
+    and decides the rate when it stands alone; otherwise evaluate_point
+    measures the rate at full duration, without the screen in its mean.
+    No screen runs when one packet would move its DR by more than a tenth
+    of the near band.
+    """
+    pass_mark = 1.0 - cfg.loss_threshold
+    screen_s = cfg.trial_duration_s / SCREEN_DIVISOR
+    reps, spent = 0, 0.0
     try:
-        dr, reps = evaluate_point(
-            driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy
-        )
+        if screen and rate * screen_s * policy.near_band >= 10.0:
+            dr = delivery_ratio(driver.run_trial(rate, screen_s))
+            reps, spent = 1, screen_s
+        if not reps or not _stands_alone(dr, pass_mark, policy.near_band):
+            dr, n = evaluate_point(
+                driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy
+            )
+            reps, spent = reps + n, spent + n * cfg.trial_duration_s
     except UnstableMeasurementError:
         raise
     except Srv6BenchError as exc:
         raise ExperimentAbortedError(
             f"driver failure at {rate:.0f} pps: {exc}", trace=trace
         ) from exc
-    passed = dr >= 1.0 - cfg.loss_threshold
-    trace.entries.append(TraceEntry(rate, dr, RAISE_LOW if passed else LOWER_HIGH, reps))
+    passed = dr >= pass_mark
+    trace.entries.append(
+        TraceEntry(rate, dr, RAISE_LOW if passed else LOWER_HIGH, reps, spent)
+    )
     return passed
 
 
-def _bisect(driver, low, high, eps, cfg, policy, trace):
-    """Halve [low, high] around its middle until it is no wider than eps.
+def _confirm(driver, i, cfg, policy, trace) -> bool:
+    """Re-measure trace entry i at full duration if a screen alone decided
+    it, and say whether that overturned the screen.
 
-    Returns (low, high, bottom_raised, top_lowered): the final bounds and
-    whether a probe ever moved each of them.
+    The full-duration result replaces the entry, which keeps counting
+    every trial and second spent at its rate.
     """
-    bottom_raised = top_lowered = False
-    while high - low > eps:
-        tx = (low + high) / 2.0
-        if _probe(driver, tx, cfg, policy, trace):
-            low, bottom_raised = tx, True
-        else:
-            high, top_lowered = tx, True
-    return low, high, bottom_raised, top_lowered
+    screened = trace.entries[i]
+    if screened.testbed_s >= cfg.trial_duration_s:  # a full-duration trial ran
+        return False
+    passed = _probe(driver, screened.tx_rate_pps, cfg, policy, trace, screen=False)
+    full = trace.entries.pop()
+    trace.entries[i] = replace(
+        full,
+        repetitions=screened.repetitions + full.repetitions,
+        testbed_s=screened.testbed_s + full.testbed_s,
+    )
+    return passed != (screened.decision == RAISE_LOW)
+
+
+def _bisect(driver, floor, top, eps, cfg, policy, trace):
+    """Halve the window around its middle until it is no wider than eps,
+    then confirm at full duration each final bound a screen decided.
+
+    The window runs from the highest passed rate in the trace (floor if
+    none passed) to the lowest failed one (top if none failed). A
+    confirmation that overturns its screen moves that bound, and the
+    halving goes on from there. Returns the final (low, high).
+    """
+    while True:
+        passed = [e.tx_rate_pps for e in trace.entries if e.decision == RAISE_LOW]
+        failed = [e.tx_rate_pps for e in trace.entries if e.decision == LOWER_HIGH]
+        low, high = max(passed, default=floor), min(failed, default=top)
+        while high - low > eps:
+            tx = (low + high) / 2.0
+            if _probe(driver, tx, cfg, policy, trace):
+                low = tx
+            else:
+                high = tx
+        bounds = [i for i, e in enumerate(trace.entries) if e.tx_rate_pps in (low, high)]
+        if not any(_confirm(driver, i, cfg, policy, trace) for i in bounds):
+            return low, high
 
 
 def find_pdr(
@@ -211,15 +287,15 @@ def find_pdr(
     """Pure binary search for the partial drop rate.
 
     Halves the window around its middle point until the window is no
-    wider than the accuracy target. A window whose top was never lowered
-    is flagged line-rate-limited; one whose bottom was never raised is
-    flagged below-search-floor.
+    wider than the accuracy target. A search in which no probe failed is
+    flagged line-rate-limited; one in which none passed is flagged
+    below-search-floor.
     """
     cfg = cfg or SearchConfig()
     policy = policy or TrialPolicy()
     lpr = line_packet_rate_pps
     trace = FinderTrace()
-    low, high, bottom_raised, top_lowered = _bisect(
+    low, high = _bisect(
         driver,
         lpr * cfg.min_percent / 100.0,
         lpr * cfg.max_percent / 100.0,
@@ -228,10 +304,11 @@ def find_pdr(
         policy,
         trace,
     )
+    decisions = {e.decision for e in trace.entries}
     flags = []
-    if trace.entries and not top_lowered:
+    if decisions and LOWER_HIGH not in decisions:
         flags.append(FLAG_LINE_RATE_LIMITED)
-    if trace.entries and not bottom_raised:
+    if decisions and RAISE_LOW not in decisions:
         flags.append(FLAG_BELOW_SEARCH_FLOOR)
     return FinderResult(RateInterval(low, high), tuple(flags), trace)
 
@@ -244,34 +321,31 @@ def find_pdr_legacy(
 ) -> FinderResult:
     """Older two-phase finder: double the rate from the floor until a
     trial fails, then binary-search between the last passing and first
-    failing rates."""
+    failing rates. A failing floor (confirmed at full duration) collapses
+    the interval onto it."""
     cfg = cfg or SearchConfig()
     policy = policy or TrialPolicy()
     lpr = line_packet_rate_pps
+    floor = lpr * cfg.min_percent / 100.0
     max_rate = lpr * cfg.max_percent / 100.0
     trace = FinderTrace()
-    rate = lpr * cfg.min_percent / 100.0
-    if not _probe(driver, rate, cfg, policy, trace):
-        # the very first probe at the window floor already failed
-        return FinderResult(RateInterval(rate, rate), (FLAG_BELOW_SEARCH_FLOOR,), trace)
+    rate = floor
+    # a failing floor collapses the search, so a screen alone may not fail it
+    passed = _probe(driver, rate, cfg, policy, trace) or _confirm(driver, 0, cfg, policy, trace)
     # a doubling that would overshoot the window top is not probed
-    failed_at = None
-    while failed_at is None and rate * 2.0 <= max_rate:
-        if _probe(driver, rate * 2.0, cfg, policy, trace):
-            rate = rate * 2.0
-        else:
-            failed_at = rate * 2.0
+    while passed and rate * 2.0 <= max_rate:
+        rate *= 2.0
+        passed = _probe(driver, rate, cfg, policy, trace)
 
-    low, high, _, top_lowered = _bisect(
-        driver,
-        rate,
-        max_rate if failed_at is None else failed_at,
-        lpr * cfg.accuracy_percent / 100.0,
-        cfg,
-        policy,
-        trace,
+    low, high = _bisect(
+        driver, floor, max_rate, lpr * cfg.accuracy_percent / 100.0, cfg, policy, trace
     )
-    flags = () if top_lowered or failed_at is not None else (FLAG_LINE_RATE_LIMITED,)
+    if trace.entries[0].decision == LOWER_HIGH:
+        flags = (FLAG_BELOW_SEARCH_FLOOR,)
+    elif all(e.decision == RAISE_LOW for e in trace.entries):
+        flags = (FLAG_LINE_RATE_LIMITED,)
+    else:
+        flags = ()
     return FinderResult(RateInterval(low, high), flags, trace)
 
 

@@ -11,6 +11,7 @@ templates as data, rendered against a fixed address plan.
 from __future__ import annotations
 
 import datetime
+import functools
 import io
 import csv as csv_mod
 from collections import abc
@@ -327,10 +328,15 @@ def _read(value: Any, kind: Any, where: str) -> Any:
     raise ConfigError(f"{where}: expected {_EXPECTED[origin or kind]}, got {value!r}")
 
 
+# a class's field types never change (callers only read the dict), and
+# evaluating its string annotations costs more than parsing the YAML
+_field_types = functools.cache(get_type_hints)
+
+
 def _build(cls, doc: Any, where: str, **given):
     """The dataclass `cls` from the mapping `doc`, whose keys are the fields
     of `cls` not in `given`. Each value is read against its field's type."""
-    kinds = get_type_hints(cls)
+    kinds = _field_types(cls)
     _reject_unknown(_require_mapping(doc, where), [k for k in kinds if k not in given], where)
     for f in fields(cls):
         if f.default is f.default_factory is MISSING and f.name not in {**doc, **given}:

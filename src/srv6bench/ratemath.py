@@ -16,9 +16,27 @@ from .errors import Srv6BenchError
 ETHERNET_OVERHEAD = 24
 MIN_FRAME_SIZE = 64
 
-# Half-width factor of the normal 95% confidence interval. The Student-t
-# factor is deliberately not used; see SummaryStats docstring.
+# Half-width factor of the normal 95% confidence interval. Reported
+# intervals deliberately do not use the Student-t factor; see the
+# SummaryStats docstring.
 Z_95 = 1.96
+
+# Two-sided 95% Student-t quantiles, t(0.975, df) for df = 1 ... 30. The
+# finder's near-band stop test uses them.
+T_95 = (
+    12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060, 2.2622, 2.2281,
+    2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199, 2.1098, 2.1009, 2.0930, 2.0860,
+    2.0796, 2.0739, 2.0687, 2.0639, 2.0595, 2.0555, 2.0518, 2.0484, 2.0452, 2.0423,
+)
+
+
+def t_95(df: int) -> float:
+    """Half-width factor of the Student-t 95% interval with df degrees of
+    freedom. Past the table it is the last entry, which is larger than the
+    exact quantile, so an interval built from it is never too narrow."""
+    if df < 1:
+        raise ValueError("need at least one degree of freedom")
+    return T_95[min(df, len(T_95)) - 1]
 
 
 @dataclass(frozen=True)

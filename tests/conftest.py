@@ -16,14 +16,17 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
 class CountingDriver:
-    """Passes trials to the wrapped driver and counts them."""
+    """Passes trials to the wrapped driver and counts them and their
+    seconds."""
 
     def __init__(self, inner):
         self.inner = inner
         self.trials = 0
+        self.seconds = 0.0
 
     def run_trial(self, rate_pps, duration_s):
         self.trials += 1
+        self.seconds += duration_s
         return self.inner.run_trial(rate_pps, duration_s)
 
 

@@ -288,25 +288,28 @@ class TestRun:
 
 # sha256 of each output of `srv6bench run` on the shipped sim configs, with
 # campaign.json's started_at and finished_at blanked; recorded on CPython 3.11.
-# The noisy digests follow the per-driver noise generator's draw order
+# The noisy digests follow the per-driver noise generator's draw order.
+# Traces, plot data and every noisy output were re-recorded when screening
+# trials came in (they record the screens and draw noise for them); the
+# noiseless campaign.csv and campaign.json did not change.
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
         "campaign.json": "14ea4abf5434318b5a468f50f4bcae84a26c3354b14b309c903366876ba15c34",
-        "plot_data.csv": "beee06308db1aacc30b4bf316f787c5c141cb0cb0a356cb0648e35aba4326ba6",
-        "trace_End.json": "efc03f9007cec9853160622aff5fe517cec5cac3a650c721ee1887e7c1454378",
-        "trace_End_DT6.json": "d0f750926696073132162591c74c8976bc9d982e86ca234c57d7e38050df6a78",
-        "trace_H_Encaps.json": "092ecd851bb03cbf2a101a30069168c3716f301dd9f7bea9acca1c957ca817f2",
-        "trace_PlainIPv6.json": "de5ccf5dd256a9617777ee11827486718b7fd00eeb9ae4022a561f1442fb7904",
+        "plot_data.csv": "815444965edd4cb32f2d0a36f91d72b344966e7f0beceb84c500b91794fc5fac",
+        "trace_End.json": "d2957c3c349c9f79ac56a69492d72e1b0ccff34f9b5037dc53b8445f1a967c5b",
+        "trace_End_DT6.json": "f7f7432ba4a0e024b5b1057a7d7faad2b7b7f8fcc8cc7863c0ac252579d0599c",
+        "trace_H_Encaps.json": "6572ec3489537b1480cc3268ebb0d523123b2080ffd18cbe9b6706357639f71e",
+        "trace_PlainIPv6.json": "4c1305e5787460d7943eab7f05cb8f274367e7663a4cc2684e2f44122822cbf3",
     },
     "noisy": {
-        "campaign.csv": "7542400fe81d6a7de9c521aa076df0c9c0c4770aa5f855f9abcc188bbc7fe7ba",
-        "campaign.json": "ef6526d7eb4c9bb028776faf4d405106a6b7e3cf700a5d090bd6c79238c50c98",
-        "plot_data.csv": "49faf0da0b188d01c72c35ec6fa93891490a5da5536a8f1be6943ce79ccb39ac",
-        "trace_End.json": "f6247879dad81fd5c7a246713a418fe2bfd5c1734a7d505dcc41f36565bf7192",
-        "trace_End_DT6.json": "b7402f1758d74f8767d87c8861ba1f61eac297aae7e4eb48312f7c78ffdbda4c",
-        "trace_H_Encaps.json": "4d356f025eadee15b29fb09a5658a28fe9aa59e2c169f46aa0d06250aaef9f84",
-        "trace_PlainIPv6.json": "a9949e4d8bbeef0524749abe29f3c5943f88424a5a201e4960fec5af33c1e48a",
+        "campaign.csv": "33a9a19f7c7d793e5625be5860e6b70d6d1f40266ba54f7364084308ec2180ed",
+        "campaign.json": "a5f5244136ba924db596deb778b20fcc2cc5727f2f0d35ced62859f4220353c2",
+        "plot_data.csv": "a060f2dd204c6add93a8480b4a021ec1779c3e2297af21704208febff6148143",
+        "trace_End.json": "6c4820c5c02b8bcc59f8bdd8c47903c73a05a7f8afc3ef7b9b94d6104bb14fb0",
+        "trace_End_DT6.json": "7ae26a5ce8c24fc32bc4969c5b02ec0cc3794dd9fa8bcace596b981f3abc494e",
+        "trace_H_Encaps.json": "86f2ea83c7fb38c17136b5ae605ac197680fee43f15f2b5254d80ff4a7fa8075",
+        "trace_PlainIPv6.json": "f10ceec02f18f8e3041d3991e84a3c6b7010c93af76f3950881221b1129759fe",
     },
 }
 

@@ -3,6 +3,7 @@ the simulated forwarder plus its closed-form inversion as an oracle for
 the searches themselves."""
 
 import itertools
+import math
 
 import pytest
 
@@ -81,6 +82,20 @@ class TestEvaluatePoint:
         dr, used = evaluate_point(d, 100.0, 10.0, 0.005, self.POLICY)
         assert used == 5
         assert dr == pytest.approx(0.995)
+
+    @pytest.mark.parametrize("rx", [99600, 99400], ids=["pass", "fail"])
+    def test_noiseless_near_band_rate_stops_after_three(self, rx):
+        # equal DRs have no spread, so three of them decide the threshold
+        d = ScriptedDriver([(100000, rx)] * 5)
+        dr, used = evaluate_point(d, 100.0, 10.0, 0.005, self.POLICY)
+        assert used == 3
+        assert dr == pytest.approx(rx / 100000)
+
+    def test_near_band_rate_of_the_quickstart_model_takes_three_trials(self):
+        d = CountingDriver(sim_driver(900_000))
+        dr, used = evaluate_point(d, 691253.0637254902, 10.0, 0.005, self.POLICY)
+        assert abs(dr - 0.995) <= self.POLICY.near_band
+        assert used == d.trials == 3
 
     def test_unstable_batches_exhaust_and_raise(self):
         # rx rates with ~30% swing keep the CV above the 1% cap in every
@@ -241,6 +256,81 @@ class TestLegacySearch:
         assert result.interval.high_pps == pytest.approx(LPR_64)
 
 
+class ByDuration:
+    """Delivery ratio by trial length: `short` for a screening trial, `full`
+    for a full-duration one. Records every (rate, duration) offered."""
+
+    def __init__(self, short, full, full_s=10.0):
+        self.short, self.full, self.full_s = short, full, full_s
+        self.calls = []
+
+    def run_trial(self, rate_pps, duration_s):
+        self.calls.append((rate_pps, duration_s))
+        tx = round(rate_pps * duration_s)
+        dr = self.full if duration_s >= self.full_s else self.short
+        return TrialSample(tx_packets=tx, rx_packets=round(tx * dr), duration_s=duration_s)
+
+
+class TestScreening:
+    CFG = SearchConfig()
+
+    @pytest.mark.parametrize("algorithm", [find_pdr, find_pdr_legacy], ids=["binary", "legacy"])
+    @pytest.mark.parametrize(
+        "short, full, flag",
+        [(1.0, 0.9, FLAG_BELOW_SEARCH_FLOOR), (0.9, 1.0, FLAG_LINE_RATE_LIMITED)],
+        ids=["screens-pass", "screens-fail"],
+    )
+    def test_no_bound_rests_on_a_screen_alone(self, algorithm, short, full, flag):
+        # every screen disagrees with the full-duration trials at its rate
+        d = ByDuration(short, full)
+        result = algorithm(d, LPR_64, self.CFG)
+        screen_s = self.CFG.trial_duration_s / 10
+        assert {s for _, s in d.calls} == {screen_s, self.CFG.trial_duration_s}
+        full_rates = {r for r, s in d.calls if s == self.CFG.trial_duration_s}
+        probed = {e.tx_rate_pps for e in result.trace.entries}
+        iv = result.interval
+        assert {iv.low_pps, iv.high_pps} & probed
+        for bound in {iv.low_pps, iv.high_pps} & probed:
+            assert bound in full_rates
+        # the full-duration verdict is the one reported
+        assert result.flags == (flag,)
+        for e in result.trace.entries:
+            if e.tx_rate_pps in full_rates:
+                assert e.delivery_ratio == pytest.approx(full, abs=1e-6)
+                assert e.decision == ("raise-low" if full == 1.0 else "lower-high")
+        assert iv.width_pps <= LPR_64 / 100.0
+
+    def test_near_band_screen_is_left_out_of_the_mean(self):
+        d = ByDuration(0.996, 0.994)
+        result = find_pdr(d, LPR_64, self.CFG)
+        for e in result.trace.entries:
+            # one screen, then three full-duration trials that decide
+            assert (e.repetitions, e.testbed_s) == (4, 31.0)
+            assert e.delivery_ratio == pytest.approx(0.994, abs=1e-6)
+            assert e.decision == "lower-high"
+
+    def test_too_short_a_trial_runs_no_screen(self):
+        # at 3 ms a 0.3 ms screen offers under 10 / near_band = 4000 packets
+        # even at line rate, so one packet would move its DR by more than a
+        # tenth of the near band
+        for duration, screened in ((10.0, True), (0.003, False)):
+            d = ByDuration(1.0, 1.0, full_s=duration)
+            cfg = SearchConfig(trial_duration_s=duration)
+            find_pdr(d, LPR_64, cfg)
+            find_pdr_legacy(d, LPR_64, cfg)
+            assert any(s < duration for _, s in d.calls) is screened
+
+    @pytest.mark.parametrize("algorithm", [find_pdr, find_pdr_legacy], ids=["binary", "legacy"])
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
+    def test_trace_testbed_seconds_add_up_to_the_driver_s(self, algorithm, noise_sigma):
+        d = CountingDriver(sim_driver(900_000, noise_sigma=noise_sigma, seed=3))
+        result = algorithm(d, LPR_64)
+        records = result.trace.records()
+        assert sum(r["repetitions"] for r in records) == d.trials
+        assert math.fsum(r["testbed_s"] for r in records) == pytest.approx(d.seconds)
+        assert d.seconds < 10.0 * d.trials
+
+
 class TestMonotonicity:
     def test_midpoint_rises_with_capacity(self):
         mids = []
@@ -291,8 +381,12 @@ class TestValidatePdr:
 
 
 # (tx_rate_pps, decision, repetitions) of every probe on three noiseless
-# End models, recorded from the finders before they shared one bisection
-# loop. A change to either search's probe order shows up here.
+# End models. Rates and decisions were recorded from the finders before
+# they shared one bisection loop; repetitions were re-recorded when
+# screening trials and early-stopping repeats came in: a screened far rate
+# is 1 trial, a near-band rate its screen plus 3 full-duration trials, and
+# a final bound a screen decided its screen plus 1 confirming trial. A
+# change to either search's probe order or trial count shows up here.
 PINNED_TRACES = {
     "mid_range": (
         (900_000, {}),
@@ -302,16 +396,16 @@ PINNED_TRACES = {
             (1639093.1372549022, "lower-high", 1),
             (880821.0784313726, "lower-high", 1),
             (501685.0490196079, "raise-low", 1),
-            (691253.0637254902, "raise-low", 5),
-            (786037.0710784314, "lower-high", 5),
+            (691253.0637254902, "raise-low", 4),
+            (786037.0710784314, "lower-high", 4),
         ],
         [
             (122549.01960784315, "raise-low", 1),
             (245098.0392156863, "raise-low", 1),
             (490196.0784313726, "raise-low", 1),
             (980392.1568627452, "lower-high", 1),
-            (735294.1176470589, "raise-low", 5),
-            (857843.137254902, "lower-high", 1),
+            (735294.1176470589, "raise-low", 4),
+            (857843.137254902, "lower-high", 2),
         ],
     ),
     "below_floor": (
@@ -323,9 +417,9 @@ PINNED_TRACES = {
             (880821.0784313726, "lower-high", 1),
             (501685.0490196079, "lower-high", 1),
             (312117.03431372554, "lower-high", 1),
-            (217333.02696078434, "lower-high", 1),
+            (217333.02696078434, "lower-high", 2),
         ],
-        [(122549.01960784315, "lower-high", 1)],
+        [(122549.01960784315, "lower-high", 2)],
     ),
     "line_rate_limited": (
         (2 * LPR_64, {}),
@@ -336,7 +430,7 @@ PINNED_TRACES = {
             (11496629.901960786, "raise-low", 1),
             (11875765.93137255, "raise-low", 1),
             (12065333.94607843, "raise-low", 1),
-            (12160117.953431372, "raise-low", 1),
+            (12160117.953431372, "raise-low", 2),
         ],
         [
             (122549.01960784315, "raise-low", 1),
@@ -351,7 +445,7 @@ PINNED_TRACES = {
             (11703431.37254902, "raise-low", 1),
             (11979166.666666668, "raise-low", 1),
             (12117034.31372549, "raise-low", 1),
-            (12185968.137254901, "raise-low", 1),
+            (12185968.137254901, "raise-low", 2),
         ],
     ),
 }

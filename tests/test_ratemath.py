@@ -10,8 +10,10 @@ from srv6bench.ratemath import (
     LinkSpec,
     TrialSample,
     delivery_ratio,
+    T_95,
     line_packet_rate,
     summarize,
+    t_95,
 )
 
 TEN_GIG = LinkSpec(line_bit_rate_bps=10e9)
@@ -93,6 +95,37 @@ class TestDeliveryRatio:
         rx = min(int(tx * frac), tx)
         s = TrialSample(tx_packets=tx, rx_packets=rx, duration_s=1.0)
         assert 0.0 <= delivery_ratio(s) <= 1.0
+
+
+def t_cdf(x, df, steps=2000):
+    """Student-t CDF at x >= 0, by Simpson's rule over the density."""
+
+    def density(t):
+        return math.exp(
+            math.lgamma((df + 1) / 2) - math.lgamma(df / 2)
+            - (df + 1) / 2 * math.log1p(t * t / df)
+        ) / math.sqrt(df * math.pi)
+
+    h = x / steps
+    inner = sum((4 if k % 2 else 2) * density(k * h) for k in range(1, steps))
+    return 0.5 + h / 3 * (density(0.0) + inner + density(x))
+
+
+class TestStudentT:
+    @pytest.mark.parametrize("df", range(1, len(T_95) + 1))
+    def test_table_holds_the_975_quantiles(self, df):
+        # four decimals move the CDF by at most 5e-5 times the density
+        assert t_95(df) == T_95[df - 1]
+        assert t_cdf(t_95(df), df) == pytest.approx(0.975, abs=1e-5)
+
+    def test_past_the_table_takes_its_last_and_larger_quantile(self):
+        assert t_95(31) == t_95(1000) == T_95[-1]
+        assert t_cdf(T_95[-1], 31) > 0.975
+        assert list(T_95) == sorted(T_95, reverse=True)
+
+    def test_needs_a_degree_of_freedom(self):
+        with pytest.raises(ValueError):
+            t_95(0)
 
 
 class TestSummarize:
