@@ -86,9 +86,10 @@ def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
                 )
         if entry.traces:
             safe = entry.behavior.value.replace(".", "_")
+            # one run per line: without indent json.dumps uses the C encoder
+            runs = ",\n".join(json.dumps(t.records()) for t in entry.traces)
             (out_dir / f"trace_{safe}.json").write_text(
-                json.dumps([t.records() for t in entry.traces], indent=2),
-                encoding="utf-8",
+                "[\n" + runs + "\n]\n", encoding="utf-8"
             )
     (out_dir / "plot_data.csv").write_text("\n".join(plot_lines) + "\n", encoding="utf-8")
 

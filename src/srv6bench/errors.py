@@ -14,11 +14,14 @@ class UnstableMeasurementError(Srv6BenchError):
 
 
 class ExperimentAbortedError(Srv6BenchError):
-    """A search was aborted by a driver failure. Carries the partial trace."""
+    """A search was aborted by a driver failure. Carries its partial trace
+    and the traces of the runs of the same validation that finished
+    before it."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+        self.completed = ()  # set by validate_pdr
 
 
 class ConfigError(Srv6BenchError):

@@ -5,8 +5,10 @@ and the multi-run validation wrapper.
 Both finders return an interval [low, high] of offered rates whose width
 is at most epsilon = line_packet_rate * accuracy_percent / 100, plus a
 trace of every trial they ran. A short screening trial decides each rate
-whose delivery ratio is clearly on one side of the threshold; every bound
-a finder reports rests on full-duration trials.
+the search passes through; every bound a finder reports rests on
+full-duration trials, so a wrong screen costs trials, not accuracy. Once
+a full-duration trial overturns a screen, the search measures rates near
+the threshold at full duration for the rest of its run.
 """
 
 from __future__ import annotations
@@ -200,14 +202,16 @@ def evaluate_point(
     )
 
 
-def _probe(driver, rate, cfg, policy, trace, screen=True) -> bool:
+def _probe(driver, rate, cfg, policy, trace, screen=True, trust=True) -> bool:
     """Evaluate one rate, record it in the trace and say whether it passed.
 
-    With screen, a trial of trial_duration_s / SCREEN_DIVISOR comes first
-    and decides the rate when it stands alone; otherwise evaluate_point
-    measures the rate at full duration, without the screen in its mean.
-    No screen runs when one packet would move its DR by more than a tenth
-    of the near band.
+    With screen, a trial of trial_duration_s / SCREEN_DIVISOR comes first.
+    It decides the rate when its DR is 1 or outside the near band, and
+    with trust near the threshold too. A screen's verdict only steers the
+    search: _bisect measures each rate that ends as a final bound again at
+    full duration. A rate no screen decided is measured at full duration
+    by evaluate_point, without the screen in its mean. No screen runs when
+    one packet would move its DR by more than a tenth of the near band.
     """
     pass_mark = 1.0 - cfg.loss_threshold
     screen_s = cfg.trial_duration_s / SCREEN_DIVISOR
@@ -216,7 +220,7 @@ def _probe(driver, rate, cfg, policy, trace, screen=True) -> bool:
         if screen and rate * screen_s * policy.near_band >= 10.0:
             dr = delivery_ratio(driver.run_trial(rate, screen_s))
             reps, spent = 1, screen_s
-        if not reps or not _stands_alone(dr, pass_mark, policy.near_band):
+        if not reps or not (trust or _stands_alone(dr, pass_mark, policy.near_band)):
             dr, n = evaluate_point(
                 driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy
             )
@@ -261,21 +265,36 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
     The window runs from the highest passed rate in the trace (floor if
     none passed) to the lowest failed one (top if none failed). A
     confirmation that overturns its screen moves that bound, and the
-    halving goes on from there. Returns the final (low, high).
+    halving goes on from there. From then on the search trusts no screen
+    near the threshold: such a screen decides no new rate, and a window
+    bound one alone decided is confirmed before the window is halved. So
+    a forwarder whose short trials read wrong pays for full-duration
+    trials where they matter, not for a search steered by wrong screens.
+    Returns the final (low, high).
     """
+    pass_mark = 1.0 - cfg.loss_threshold
+    trust = True
     while True:
         passed = [e.tx_rate_pps for e in trace.entries if e.decision == RAISE_LOW]
         failed = [e.tx_rate_pps for e in trace.entries if e.decision == LOWER_HIGH]
         low, high = max(passed, default=floor), min(failed, default=top)
+        bounds = [i for i, e in enumerate(trace.entries) if e.tx_rate_pps in (low, high)]
+        doubtful = [
+            i for i in bounds
+            if not _stands_alone(trace.entries[i].delivery_ratio, pass_mark, policy.near_band)
+        ]
+        if not trust and any(_confirm(driver, i, cfg, policy, trace) for i in doubtful):
+            continue
         while high - low > eps:
             tx = (low + high) / 2.0
-            if _probe(driver, tx, cfg, policy, trace):
+            if _probe(driver, tx, cfg, policy, trace, trust=trust):
                 low = tx
             else:
                 high = tx
         bounds = [i for i, e in enumerate(trace.entries) if e.tx_rate_pps in (low, high)]
         if not any(_confirm(driver, i, cfg, policy, trace) for i in bounds):
             return low, high
+        trust = False
 
 
 def find_pdr(
@@ -363,11 +382,19 @@ def validate_pdr(
     runs: int = 10,
     algorithm=find_pdr,
 ) -> ValidationResult:
-    """Repeat a full search and summarize the interval midpoints."""
+    """Repeat a full search and summarize the interval midpoints.
+
+    A search a driver failure aborts raises ExperimentAbortedError with
+    the traces of the runs before it in completed.
+    """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    results = tuple(
-        algorithm(driver, line_packet_rate_pps, cfg, policy) for _ in range(runs)
-    )
+    results = []
+    for _ in range(runs):
+        try:
+            results.append(algorithm(driver, line_packet_rate_pps, cfg, policy))
+        except ExperimentAbortedError as exc:
+            exc.completed = tuple(r.trace for r in results)
+            raise
     stats = summarize([r.interval.midpoint_pps for r in results])
-    return ValidationResult(stats=stats, results=results)
+    return ValidationResult(stats=stats, results=tuple(results))

@@ -25,7 +25,7 @@ import yaml
 
 from . import __version__
 from .catalog import BehaviorId, lookup, traffic_requirement
-from .errors import ConfigError, Srv6BenchError
+from .errors import ConfigError, ExperimentAbortedError, Srv6BenchError
 from .finder import (
     FinderResult,
     FinderTrace,
@@ -649,6 +649,10 @@ def run_campaign(
                 stats=validation.stats,
                 traces=tuple(r.trace for r in validation.results),
             )
+        except ExperimentAbortedError as exc:
+            errors.append(str(exc))
+            if exc.trace is not None:  # the runs and rates before the failure
+                measured = dict(traces=exc.completed + (exc.trace,))
         except Srv6BenchError as exc:
             errors.append(str(exc))
         finally:

@@ -3,6 +3,7 @@ import json
 import re
 
 import pytest
+import yaml
 
 from srv6bench.catalog import BehaviorId, catalog
 from srv6bench.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
@@ -289,27 +290,33 @@ class TestRun:
 # sha256 of each output of `srv6bench run` on the shipped sim configs, with
 # campaign.json's started_at and finished_at blanked; recorded on CPython 3.11.
 # The noisy digests follow the per-driver noise generator's draw order.
-# Traces, plot data and every noisy output were re-recorded when screening
-# trials came in (they record the screens and draw noise for them); the
-# noiseless campaign.csv and campaign.json did not change.
+# Re-recorded when a screen came to decide near-band rates too:
+# - every trace file changed, because traces are written one run per line
+#   (with the C JSON encoder) and record the near-band rates a screen alone
+#   decided;
+# - the noiseless plot data changed with the DR of those rates;
+# - every noisy output changed, because the searches take fewer noise draws
+#   (until a confirmation overturns a screen; then a search measures its
+#   later near-band rates at full duration).
+# The noiseless campaign.csv and campaign.json did not change.
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
         "campaign.json": "14ea4abf5434318b5a468f50f4bcae84a26c3354b14b309c903366876ba15c34",
-        "plot_data.csv": "815444965edd4cb32f2d0a36f91d72b344966e7f0beceb84c500b91794fc5fac",
-        "trace_End.json": "d2957c3c349c9f79ac56a69492d72e1b0ccff34f9b5037dc53b8445f1a967c5b",
-        "trace_End_DT6.json": "f7f7432ba4a0e024b5b1057a7d7faad2b7b7f8fcc8cc7863c0ac252579d0599c",
-        "trace_H_Encaps.json": "6572ec3489537b1480cc3268ebb0d523123b2080ffd18cbe9b6706357639f71e",
-        "trace_PlainIPv6.json": "4c1305e5787460d7943eab7f05cb8f274367e7663a4cc2684e2f44122822cbf3",
+        "plot_data.csv": "3de43cd009041070fb435f59fea170a8897608f92303b363bcf90dee9d83a2ed",
+        "trace_End.json": "57ce1b2ab624922e8d5cc83e507db2006165f7becfbca00e4d67823153c88c4a",
+        "trace_End_DT6.json": "ef0ba785273d8049b668d25c28768aacfa6721859811f3829f748307178c1e98",
+        "trace_H_Encaps.json": "87c0068e355b30fc27e35d3844d1743f362d0006a7359a9858d3415335d5210a",
+        "trace_PlainIPv6.json": "7760d87be462f2c7cdf19de26f8c8d9898c758609c5948ce19feb96ddfc92511",
     },
     "noisy": {
-        "campaign.csv": "33a9a19f7c7d793e5625be5860e6b70d6d1f40266ba54f7364084308ec2180ed",
-        "campaign.json": "a5f5244136ba924db596deb778b20fcc2cc5727f2f0d35ced62859f4220353c2",
-        "plot_data.csv": "a060f2dd204c6add93a8480b4a021ec1779c3e2297af21704208febff6148143",
-        "trace_End.json": "6c4820c5c02b8bcc59f8bdd8c47903c73a05a7f8afc3ef7b9b94d6104bb14fb0",
-        "trace_End_DT6.json": "7ae26a5ce8c24fc32bc4969c5b02ec0cc3794dd9fa8bcace596b981f3abc494e",
-        "trace_H_Encaps.json": "86f2ea83c7fb38c17136b5ae605ac197680fee43f15f2b5254d80ff4a7fa8075",
-        "trace_PlainIPv6.json": "f10ceec02f18f8e3041d3991e84a3c6b7010c93af76f3950881221b1129759fe",
+        "campaign.csv": "9a72540d5b74672fd8fab87aa1f5f713d49b1e1500b26ac328ad3a8d23f2fb41",
+        "campaign.json": "a154c50bf2d96331b17502510db1a56171d5babbcad5d882e39842eba95a8e5a",
+        "plot_data.csv": "802a3606005e20369d74ca1ab8ce1a063e6d1ab166ac53067650cccd280e0f33",
+        "trace_End.json": "eeec510348ff1d3810e1b89a8bda324609fd0dcd3cce31f1d4e144e9a90863e0",
+        "trace_End_DT6.json": "e7389653af16a1dca933e93dd08d936fbb8837e34f409cc766f59355c3d3fb6e",
+        "trace_H_Encaps.json": "f9a6b5b9d20c7f60bd8614c4346bab641d0ec55015e1811aebde0e9c4cbf10ef",
+        "trace_PlainIPv6.json": "30644e56125614ef6f566bbdc67316f31e47e30b90c604714bc0cc61b629e042",
     },
 }
 
@@ -331,6 +338,18 @@ def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, 
             data = re.sub(rb'"(started_at|finished_at)": "[^"]*"', rb'"\1": ""', data)
         digests[path.name] = hashlib.sha256(data).hexdigest()
     assert digests == PINNED_OUTPUTS[pinned]
+    # in every run, the highest passed and the lowest failed rate, the
+    # bounds the run reports, each had a full-duration trial
+    full_s = yaml.safe_load((SHIPPED / "experiment.sim.yaml").read_text())["search"][
+        "trial_duration_s"
+    ]
+    for path in out.glob("trace_*.json"):
+        for run in json.loads(path.read_text()):
+            passed = [e for e in run if e["decision"] == "raise-low"]
+            failed = [e for e in run if e["decision"] == "lower-high"]
+            low = max(passed, key=lambda e: e["tx_rate_pps"])
+            high = min(failed, key=lambda e: e["tx_rate_pps"])
+            assert low["testbed_s"] >= full_s and high["testbed_s"] >= full_s
     if pinned == "noisy":
         assert "CV 0.000%" not in capsys.readouterr().out
 

@@ -271,6 +271,46 @@ class ByDuration:
         return TrialSample(tx_packets=tx, rx_packets=round(tx * dr), duration_s=duration_s)
 
 
+class NearBandScreensLie:
+    """Passes full-duration trials to the wrapped driver unchanged. A
+    screening trial whose honest DR sits in the near band reads half the
+    band away on the other side of the pass mark."""
+
+    def __init__(self, inner, cfg, near_band=TrialPolicy().near_band):
+        self.inner, self.full_s, self.near_band = inner, cfg.trial_duration_s, near_band
+        self.pass_mark = 1.0 - cfg.loss_threshold
+        self.calls, self.lies = [], 0
+
+    def run_trial(self, rate_pps, duration_s):
+        self.calls.append((rate_pps, duration_s))
+        sample = self.inner.run_trial(rate_pps, duration_s)
+        dr = delivery_ratio(sample)
+        if duration_s >= self.full_s or abs(dr - self.pass_mark) > self.near_band:
+            return sample
+        self.lies += 1
+        shift = self.near_band / 2
+        wrong = self.pass_mark - shift if dr >= self.pass_mark else self.pass_mark + shift
+        rx = round(sample.tx_packets * wrong)
+        return TrialSample(tx_packets=sample.tx_packets, rx_packets=rx, duration_s=duration_s)
+
+
+class ScreensReadOff:
+    """Adds `shift` to the delivery ratio of every screening trial of the
+    wrapped driver, as a forwarder whose buffers absorb a short burst
+    (shift > 0) or that loses packets while warming up (shift < 0)."""
+
+    def __init__(self, inner, shift, full_s=10.0):
+        self.inner, self.shift, self.full_s = inner, shift, full_s
+
+    def run_trial(self, rate_pps, duration_s):
+        sample = self.inner.run_trial(rate_pps, duration_s)
+        if duration_s >= self.full_s:
+            return sample
+        dr = min(1.0, delivery_ratio(sample) + self.shift)
+        rx = round(sample.tx_packets * dr)
+        return TrialSample(tx_packets=sample.tx_packets, rx_packets=rx, duration_s=duration_s)
+
+
 class TestScreening:
     CFG = SearchConfig()
 
@@ -308,6 +348,57 @@ class TestScreening:
             assert (e.repetitions, e.testbed_s) == (4, 31.0)
             assert e.delivery_ratio == pytest.approx(0.994, abs=1e-6)
             assert e.decision == "lower-high"
+
+    @pytest.mark.parametrize("algorithm", [find_pdr, find_pdr_legacy], ids=["binary", "legacy"])
+    @pytest.mark.parametrize("capacity", [900_000, 5_000_000])
+    def test_wrong_near_band_screens_cost_trials_not_the_interval(self, algorithm, capacity):
+        # a screen decides a near-band rate only provisionally: the bounds
+        # reported are the ones the honest full-duration trials give
+        m = ForwarderModel({END: capacity})
+        d = NearBandScreensLie(SimDriver(m, END, TEMPLATE), self.CFG)
+        result = algorithm(d, LPR_64, self.CFG)
+        assert d.lies
+        iv = result.interval
+        assert iv.width_pps <= LPR_64 / 100.0
+        assert iv.low_pps <= analytic_pdr(m, END, self.CFG.loss_threshold) <= iv.high_pps
+        assert result.flags == ()
+        full_rates = {r for r, s in d.calls if s == self.CFG.trial_duration_s}
+        assert {iv.low_pps, iv.high_pps} <= full_rates
+
+    @pytest.mark.parametrize(
+        "algorithm, shift, cost",
+        [
+            (find_pdr, 0.002, (26, 161.0)),
+            (find_pdr_legacy, 0.002, (33, 168.0)),
+            (find_pdr, -0.002, (31, 220.0)),
+            (find_pdr_legacy, -0.002, (31, 166.0)),
+        ],
+        ids=["binary-high", "legacy-high", "binary-low", "legacy-low"],
+    )
+    def test_screens_that_read_off_stop_steering_after_an_overturn(self, algorithm, shift, cost):
+        # every screen reads 0.002 off, so near-band screens steer the
+        # search wrong until a confirmation overturns one. After that no
+        # near-band screen decides a rate, and the window bounds one alone
+        # decided are confirmed before the halving goes on. Measuring every
+        # near-band rate at full duration costs 127, 132, 137 and 142
+        # testbed-seconds here; trusting screens to the end, 255, 293, 344
+        # and 476
+        lpr = 10e9 / (8.0 * (158 + 24))  # End's 158 B frame
+        honest = algorithm(sim_driver(5_000_000), lpr)
+        d = CountingDriver(ScreensReadOff(sim_driver(5_000_000), shift))
+        result = algorithm(d, lpr)
+        assert result.interval == honest.interval
+        assert result.flags == honest.flags == ()
+        assert (d.trials, d.seconds) == cost
+
+    def test_quickstart_end_search_cost(self):
+        # 4 far rates and 1 near-band rate each decided by one screen, plus
+        # 2 final bounds each a screen and 3 full-duration trials
+        d = CountingDriver(sim_driver(900_000))
+        result = find_pdr(d, 10e9 / (8.0 * (158 + 24)))  # End's 158 B frame
+        assert (d.trials, d.seconds) == (13, 67.0)
+        iv = result.interval
+        assert (round(iv.low_pps), round(iv.high_pps)) == (706130, 759251)
 
     def test_too_short_a_trial_runs_no_screen(self):
         # at 3 ms a 0.3 ms screen offers under 10 / near_band = 4000 packets

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import typing
 
@@ -8,7 +9,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId
-from srv6bench.cli import EXIT_PARTIAL, main
+from srv6bench.cli import EXIT_PARTIAL, _write_outputs, main
 from srv6bench.errors import ConfigError, Srv6BenchError
 from srv6bench.finder import SearchConfig, TrialPolicy, find_pdr
 from srv6bench.orchestrator import (
@@ -19,6 +20,7 @@ from srv6bench.orchestrator import (
     SshConnection,
     TestbedConfig as BenchTestbedConfig,
     _load_yaml,
+    _make_driver,
     default_behavior_configs,
     parse_experiment_config,
     parse_testbed_config,
@@ -489,6 +491,43 @@ class TestCampaign:
         assert result.entries[0].error.startswith("driver failure at ")
         assert result.entries[0].error.endswith(" pps: gone")
         assert executor.commands[-1] == "sim clear-behavior End"
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_aborted_search_keeps_its_partial_trace(self, runs, tmp_path):
+        experiment = ExperimentConfig(behaviors=(BehaviorId.PLAIN_IPV6,), runs=runs)
+        testbed = sim_testbed({BehaviorId.PLAIN_IPV6: 1221e3})
+        clean = run_campaign(experiment, testbed).entries[0].traces
+        per_search = sum(e.repetitions for e in clean[0].entries)
+
+        class FailsInLastSearch:
+            """Fails on the 3rd trial of the last search."""
+
+            def __init__(self, inner):
+                self.inner, self.rates = inner, []
+
+            def run_trial(self, rate_pps, duration_s):
+                self.rates.append(rate_pps)
+                if len(self.rates) == (runs - 1) * per_search + 3:
+                    raise Srv6BenchError("link down")
+                return self.inner.run_trial(rate_pps, duration_s)
+
+        drivers = []
+
+        def factory(behavior, template, testbed):
+            drivers.append(FailsInLastSearch(_make_driver(behavior, template, testbed)))
+            return drivers[-1]
+
+        result = run_campaign(experiment, testbed, driver_factory=factory)
+        (entry,) = result.entries
+        assert entry.error == f"driver failure at {drivers[0].rates[-1]:.0f} pps: link down"
+        # the completed runs in order, then the rates the aborted one finished
+        *complete, partial = entry.traces
+        assert complete == list(clean[: runs - 1])
+        assert [e.tx_rate_pps for e in partial.entries] == drivers[0].rates[-3:-1]
+
+        _write_outputs(result, tmp_path)
+        written = json.loads((tmp_path / "trace_PlainIPv6.json").read_text())
+        assert written == [t.records() for t in entry.traces]
 
     def test_missing_capacity_is_a_per_behavior_error(self):
         experiment = ExperimentConfig(behaviors=(BehaviorId.END_T,), runs=1)
