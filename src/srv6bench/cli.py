@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -109,6 +107,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot write outputs: {exc}") from None
     result = run_campaign(experiment, testbed)
     _write_outputs(result, out_dir)
+    rate_name = experiment.experiment_type.upper()
     for entry in result.entries:
         if entry.error:
             print(f"{entry.behavior.value}: ERROR: {entry.error}")
@@ -116,7 +115,7 @@ def _cmd_run(args) -> int:
             mid = entry.interval.midpoint_pps / 1e3
             flags = f" [{', '.join(entry.flags)}]" if entry.flags else ""
             print(
-                f"{entry.behavior.value}: PDR midpoint {mid:.1f} kpps "
+                f"{entry.behavior.value}: {rate_name} midpoint {mid:.1f} kpps "
                 f"(CV {entry.stats.cv_percent:.3f}%, CI95 {entry.stats.ci95_percent:.3f}%)"
                 f"{flags}"
             )
@@ -184,10 +183,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        level = os.environ.get("SRV6BENCH_LOG", "WARNING")
-        if not isinstance(logging.getLevelName(level), int):
-            raise ConfigError(f"SRV6BENCH_LOG: unknown level {level!r}")
-        logging.basicConfig(level=level)
         return args.func(args)
     except Srv6BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,8 +65,6 @@ class ConfigRecipe:
     teardown undoes steps in reverse order: teardown[-1 - i] undoes steps[i].
     """
 
-    behavior: BehaviorId
-    forwarder_kind: str
     steps: tuple[str, ...]
     teardown: tuple[str, ...]
 
@@ -192,8 +190,6 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
     else:
         raise ConfigError(f"unknown forwarder kind: {forwarder_kind!r}")
     return ConfigRecipe(
-        spec.id,
-        forwarder_kind,
         tuple(setup.format(**ADDRESS_PLAN) for setup, _ in pairs),
         tuple(undo.format(**ADDRESS_PLAN) for _, undo in reversed(pairs)),
     )

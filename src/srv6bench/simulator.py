@@ -18,7 +18,6 @@ from .catalog import BehaviorId, traffic_requirement
 from .errors import RequirementViolationError, Srv6BenchError
 from .packet import (
     BehaviorConfig,
-    ForwardAction,
     IPv4Header,
     IPv6Header,
     PacketTemplate,
@@ -66,14 +65,6 @@ class ForwarderModel:
             ) from None
 
 
-@dataclass(frozen=True)
-class SimTrialReport:
-    sample: TrialSample
-    forwarded_template: Optional[PacketTemplate]
-    action: Optional[ForwardAction]
-    semantic_violations: int
-
-
 def delivery_model(model: ForwarderModel, behavior: BehaviorId, rate_pps: float) -> float:
     """Expected delivery ratio at a given offered rate."""
     if rate_pps <= 0:
@@ -115,11 +106,13 @@ def run_trial(
     rate_pps: float,
     duration_s: float,
     rng: Optional[random.Random] = None,
-) -> SimTrialReport:
+) -> TrialSample:
     """Offer traffic for a fixed duration and report what came back.
 
-    A noisy model takes its draw from rng, which SimDriver keeps per
-    driver; a noiseless one needs none.
+    A behavior whose forwarded packet does not survive encode/decode
+    unchanged does not conform and fails the trial. A noisy model takes
+    its draw from rng, which SimDriver keeps per driver; a noiseless one
+    needs none.
     """
     if rate_pps <= 0 or duration_s <= 0:
         raise ValueError("rate and duration must be positive")
@@ -129,9 +122,11 @@ def run_trial(
             f"template does not satisfy the {behavior} traffic requirement"
         )
     cfg = model.behavior_config.get(behavior)
-    forwarded, action = apply_behavior(behavior, template, cfg)
-    # the transform must survive the wire untouched
-    violations = 0 if decode(encode(forwarded)) == forwarded else 1
+    forwarded, _ = apply_behavior(behavior, template, cfg)
+    if decode(encode(forwarded)) != forwarded:
+        raise Srv6BenchError(
+            f"{behavior} does not conform: its forwarded packet does not survive encode/decode"
+        )
 
     p_in = round(rate_pps * duration_s)
     hop_limit = _outermost_hop_limit(forwarded)
@@ -142,13 +137,7 @@ def run_trial(
         if model.noise_sigma > 0:
             expected *= 1.0 + rng.gauss(0.0, model.noise_sigma)
         p_out = min(max(round(expected), 0), p_in)
-    sample = TrialSample(tx_packets=p_in, rx_packets=p_out, duration_s=duration_s)
-    return SimTrialReport(
-        sample=sample,
-        forwarded_template=forwarded,
-        action=action,
-        semantic_violations=violations,
-    )
+    return TrialSample(tx_packets=p_in, rx_packets=p_out, duration_s=duration_s)
 
 
 class TrafficDriver(Protocol):
@@ -161,8 +150,7 @@ class SimDriver:
     """Reference driver: runs trials against a ForwarderModel.
 
     A noisy model gets one generator per driver, seeded once from the
-    model seed and the behavior, so each trial draws the next noise value;
-    reset() reseeds it for a new campaign.
+    model seed and the behavior, so each trial draws the next noise value.
     """
 
     def __init__(
@@ -171,16 +159,10 @@ class SimDriver:
         self.model = model
         self.behavior = behavior
         self.template = template
-        self.reset()
+        noisy = model.noise_sigma > 0
+        self._rng = random.Random(f"{model.seed}|{behavior.value}") if noisy else None
 
     def run_trial(self, rate_pps: float, duration_s: float) -> TrialSample:
-        report = run_trial(
+        return run_trial(
             self.model, self.behavior, self.template, rate_pps, duration_s, self._rng
         )
-        self.last_report = report
-        return report.sample
-
-    def reset(self) -> None:
-        noisy = self.model.noise_sigma > 0
-        self._rng = random.Random(f"{self.model.seed}|{self.behavior.value}") if noisy else None
-        self.last_report: Optional[SimTrialReport] = None

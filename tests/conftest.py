@@ -1,9 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from srv6bench import packet
 from srv6bench.catalog import BehaviorId, traffic_requirement
-from srv6bench.packet import Sid, build_test_packet
+from srv6bench.packet import NEXT_HEADER_NONE, PacketTemplate, Sid, build_test_packet
 
 SID1 = Sid.from_str("fc00:0:0:1::1")
 SID2 = Sid.from_str("fc00:0:0:2::1")
@@ -42,3 +44,17 @@ def dt6_template():
     """End.DT6 test packet: SRH present, Segments Left already 0."""
     req = traffic_requirement(BehaviorId.END_DT6)
     return build_test_packet(req, [SID1, SID2])
+
+
+@pytest.fixture
+def nonconforming_end(monkeypatch):
+    """End's transform patched to write an outer next header of "none" in
+    front of the SRH: the forwarded packet decodes with the SRH as a
+    payload, so it does not survive encode/decode."""
+    transform, kind, target = packet._SEMANTICS[BehaviorId.END]
+
+    def nonconforming(template, cfg):
+        eth, outer, *rest = transform(template, cfg).layers
+        return PacketTemplate((eth, replace(outer, next_header=NEXT_HEADER_NONE), *rest))
+
+    monkeypatch.setitem(packet._SEMANTICS, BehaviorId.END, (nonconforming, kind, target))

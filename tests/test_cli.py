@@ -137,6 +137,38 @@ class TestRun:
         )
         assert executor.commands == []
 
+    def test_non_conforming_behavior_is_an_error_not_a_pdr(self, tmp_path, capsys, request):
+        # End must report an error while the other behaviors' results do
+        # not change
+        def rows(out):
+            return json.loads((out / "campaign.json").read_text())["behaviors"]
+
+        args = SHIPPED / "experiment.sim.yaml", SHIPPED / "testbed.sim.yaml"
+        assert run_cmd(*args, tmp_path / "good") == EXIT_OK
+        request.getfixturevalue("nonconforming_end")
+        capsys.readouterr()
+        assert run_cmd(*args, tmp_path / "bad") == EXIT_PARTIAL
+        assert "End: ERROR: driver failure at " in capsys.readouterr().out
+        good, bad = rows(tmp_path / "good"), rows(tmp_path / "bad")
+        assert [r["behavior"] for r in bad] == ["PlainIPv6", "End", "End.DT6", "H.Encaps"]
+        end = bad[1]
+        assert end["error"].endswith(
+            ": End does not conform: its forwarded packet does not survive encode/decode"
+        )
+        assert end["pdr_low_pps"] is None and end["pdr_high_pps"] is None
+        assert end["stats"] is None
+        assert [r for r in bad if r is not end] == [r for r in good if r["behavior"] != "End"]
+
+    def test_ndr_campaign_says_ndr(self, tmp_path, capsys):
+        experiment = (SHIPPED / "experiment.sim.yaml").read_text()
+        assert "experiment_type: pdr\n" in experiment
+        exp = tmp_path / "e.yaml"
+        exp.write_text(experiment.replace("experiment_type: pdr\n", "experiment_type: ndr\n"))
+        assert run_cmd(exp, SHIPPED / "testbed.sim.yaml", tmp_path / "o") == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.count(": NDR midpoint ") == 4
+        assert "PDR" not in text
+
     def test_out_naming_a_file_exits_2_before_the_campaign(self, configs, tmp_path, capsys):
         exp, tb = configs
         out = tmp_path / "taken"
@@ -429,10 +461,3 @@ class TestOtherCommands:
         path.write_text(doc)
         assert main(["report", "--campaign", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: campaign: malformed document")
-
-    def test_unknown_log_level_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("SRV6BENCH_LOG", "VERBOSE")
-        assert main(["behaviors"]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.err == "error: SRV6BENCH_LOG: unknown level 'VERBOSE'\n"
-        assert captured.out == ""

@@ -342,7 +342,7 @@ class TestResolve:
     def test_end_frame(self):
         template, recipe = resolve(BehaviorId.END, sim_testbed())
         assert template.frame_size == 158
-        assert recipe.forwarder_kind == "sim"
+        assert recipe.steps == ("sim set-behavior End",)
 
     def test_headend_frame(self):
         tb = sim_testbed({BehaviorId.H_ENCAPS: 1e6})

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
 from srv6bench.errors import RequirementViolationError, Srv6BenchError
-from srv6bench.packet import build_test_packet
+from srv6bench.packet import PacketTemplate, apply_behavior, build_test_packet
 from srv6bench.simulator import (
     ForwarderModel,
     SimDriver,
@@ -82,17 +82,18 @@ class TestAnalyticPdr:
 class TestRunTrial:
     def test_noiseless_counts(self, end_template):
         m = model(loss_at_capacity=0.01, curve_exponent=4.0)
-        report = run_trial(m, END, end_template, 1_000_000, 10.0)
-        assert report.sample.tx_packets == 10_000_000
+        sample = run_trial(m, END, end_template, 1_000_000, 10.0)
+        assert sample.tx_packets == 10_000_000
         expected = round(10_000_000 * delivery_model(m, END, 1_000_000))
-        assert report.sample.rx_packets == expected
-        assert report.semantic_violations == 0
-        assert report.action.kind == "fib-lookup"
+        assert sample.rx_packets == expected
+        assert sample.duration_s == 10.0
 
-    def test_forwarded_packet_advanced(self, end_template):
-        report = run_trial(model(), END, end_template, 1_000_000, 1.0)
-        assert report.forwarded_template.layers[2].segments_left == 0
-        assert report.forwarded_template.layers[1].dst == SID2.value
+    def test_forward_that_does_not_round_trip_fails(self, end_template, nonconforming_end):
+        with pytest.raises(
+            Srv6BenchError,
+            match="^End does not conform: its forwarded packet does not survive encode/decode$",
+        ):
+            run_trial(model(), END, end_template, 1_000_000, 1.0)
 
     def test_template_mismatch_rejected(self, dt6_template):
         # a decap packet (Segments Left 0) cannot exercise End
@@ -107,12 +108,10 @@ class TestRunTrial:
     def test_exhausted_hop_limit_blackholes(self, end_template):
         layers = list(end_template.layers)
         layers[1] = replace(layers[1], hop_limit=1)
-        from srv6bench.packet import PacketTemplate
-
         t = PacketTemplate(tuple(layers))
-        report = run_trial(model(), END, t, 1_000_000, 1.0)
-        assert report.forwarded_template.layers[1].hop_limit == 0
-        assert report.sample.rx_packets == 0
+        forwarded, _ = apply_behavior(END, t)
+        assert forwarded.layers[1].hop_limit == 0
+        assert run_trial(model(), END, t, 1_000_000, 1.0).rx_packets == 0
 
     def test_noise_never_exceeds_offered(self, end_template):
         d = SimDriver(model(noise_sigma=0.5, seed=9), END, end_template)
@@ -140,11 +139,12 @@ class TestSimDriver:
         assert draws(seed=6) != draws()
         assert draws(behavior=BehaviorId.END_T) != draws()
 
-    def test_repeat_trials_draw_fresh_noise_then_reset_restores(self, end_template):
-        d = SimDriver(model(noise_sigma=0.01, seed=3), END, end_template)
+    def test_repeat_trials_draw_fresh_noise_and_two_fresh_drivers_agree(self, end_template):
+        m = model(noise_sigma=0.01, seed=3)
+        d = SimDriver(m, END, end_template)
         first = [d.run_trial(3_000_000, 10.0) for _ in range(4)]
         assert len({s.rx_packets for s in first}) > 1
-        d.reset()
+        d = SimDriver(m, END, end_template)
         again = [d.run_trial(3_000_000, 10.0) for _ in range(4)]
         assert first == again
 
@@ -159,15 +159,15 @@ class TestSimDriver:
                 super().__init__(seed)
 
         monkeypatch.setattr(random, "Random", SeedRecorder)
-        d = SimDriver(model(), END, end_template)
-        for _ in range(5):
-            d.run_trial(4_900_000, 1.0)
-        d.reset()
+        for _ in range(2):
+            d = SimDriver(model(), END, end_template)
+            for _ in range(5):
+                d.run_trial(4_900_000, 1.0)
         assert seeds == []
-        d = SimDriver(model(noise_sigma=0.01, seed=3), END, end_template)
-        for _ in range(5):
-            d.run_trial(4_900_000, 1.0)
-        d.reset()
+        for _ in range(2):
+            d = SimDriver(model(noise_sigma=0.01, seed=3), END, end_template)
+            for _ in range(5):
+                d.run_trial(4_900_000, 1.0)
         assert seeds == ["3|End", "3|End"]
 
     def test_draws_have_the_configured_spread(self, end_template):
@@ -180,13 +180,6 @@ class TestSimDriver:
         dev = [d.run_trial(10_000_000, 10.0).rx_packets / expected - 1.0 for _ in range(n)]
         assert abs(statistics.fmean(dev)) <= 4 * sigma / math.sqrt(n)
         assert statistics.stdev(dev) == pytest.approx(sigma, rel=0.1)
-
-    def test_last_report_is_kept(self, end_template):
-        d = SimDriver(model(), END, end_template)
-        assert d.last_report is None
-        d.run_trial(1_000_000, 1.0)
-        assert d.last_report is not None
-        assert d.last_report.semantic_violations == 0
 
 
 class TestModelValidation:
