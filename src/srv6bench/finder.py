@@ -19,11 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Optional
 
-from .errors import (
-    ExperimentAbortedError,
-    Srv6BenchError,
-    UnstableMeasurementError,
-)
+from .errors import ExperimentAbortedError, Srv6BenchError
 from .ratemath import SummaryStats, delivery_ratio, summarize, t_95
 from .simulator import TrafficDriver
 
@@ -196,7 +192,7 @@ def evaluate_point(
             # plain left-to-right addition on every Python (sum() compensates from 3.12)
             return reduce(operator.add, drs) / len(drs), trials_used
         samples, drs = [], []
-    raise UnstableMeasurementError(
+    raise Srv6BenchError(
         f"rx rate CV stayed above {policy.max_rx_cv_percent}% "
         f"after {policy.retry_cap} batches at {tx_rate_pps:.0f} pps"
     )
@@ -225,11 +221,9 @@ def _probe(driver, rate, cfg, policy, trace, screen=True, trust=True) -> bool:
                 driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy
             )
             reps, spent = reps + n, spent + n * cfg.trial_duration_s
-    except UnstableMeasurementError:
-        raise
     except Srv6BenchError as exc:
         raise ExperimentAbortedError(
-            f"driver failure at {rate:.0f} pps: {exc}", trace=trace
+            f"search aborted at {rate:.0f} pps: {exc}", traces=(trace,)
         ) from exc
     passed = dr >= pass_mark
     trace.entries.append(
@@ -297,6 +291,17 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
         trust = False
 
 
+def _result(low, high, trace) -> FinderResult:
+    """A finished search's result, flagged by the rule both finders share."""
+    decisions = {e.decision for e in trace.entries}
+    flags = ()
+    if decisions == {RAISE_LOW}:
+        flags = (FLAG_LINE_RATE_LIMITED,)
+    elif decisions == {LOWER_HIGH}:
+        flags = (FLAG_BELOW_SEARCH_FLOOR,)
+    return FinderResult(RateInterval(low, high), flags, trace)
+
+
 def find_pdr(
     driver: TrafficDriver,
     line_packet_rate_pps: float,
@@ -323,13 +328,7 @@ def find_pdr(
         policy,
         trace,
     )
-    decisions = {e.decision for e in trace.entries}
-    flags = []
-    if decisions and LOWER_HIGH not in decisions:
-        flags.append(FLAG_LINE_RATE_LIMITED)
-    if decisions and RAISE_LOW not in decisions:
-        flags.append(FLAG_BELOW_SEARCH_FLOOR)
-    return FinderResult(RateInterval(low, high), tuple(flags), trace)
+    return _result(low, high, trace)
 
 
 def find_pdr_legacy(
@@ -341,7 +340,7 @@ def find_pdr_legacy(
     """Older two-phase finder: double the rate from the floor until a
     trial fails, then binary-search between the last passing and first
     failing rates. A failing floor (confirmed at full duration) collapses
-    the interval onto it."""
+    the interval onto it. Flagged as find_pdr flags its results."""
     cfg = cfg or SearchConfig()
     policy = policy or TrialPolicy()
     lpr = line_packet_rate_pps
@@ -359,13 +358,7 @@ def find_pdr_legacy(
     low, high = _bisect(
         driver, floor, max_rate, lpr * cfg.accuracy_percent / 100.0, cfg, policy, trace
     )
-    if trace.entries[0].decision == LOWER_HIGH:
-        flags = (FLAG_BELOW_SEARCH_FLOOR,)
-    elif all(e.decision == RAISE_LOW for e in trace.entries):
-        flags = (FLAG_LINE_RATE_LIMITED,)
-    else:
-        flags = ()
-    return FinderResult(RateInterval(low, high), flags, trace)
+    return _result(low, high, trace)
 
 
 @dataclass(frozen=True)
@@ -384,8 +377,9 @@ def validate_pdr(
 ) -> ValidationResult:
     """Repeat a full search and summarize the interval midpoints.
 
-    A search a driver failure aborts raises ExperimentAbortedError with
-    the traces of the runs before it in completed.
+    An error inside a search aborts it: the ExperimentAbortedError
+    carries in traces the runs that finished before it, then the
+    partial one.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -394,7 +388,7 @@ def validate_pdr(
         try:
             results.append(algorithm(driver, line_packet_rate_pps, cfg, policy))
         except ExperimentAbortedError as exc:
-            exc.completed = tuple(r.trace for r in results)
+            exc.traces = tuple(r.trace for r in results) + exc.traces
             raise
     stats = summarize([r.interval.midpoint_pps for r in results])
     return ValidationResult(stats=stats, results=tuple(results))

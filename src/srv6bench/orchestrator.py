@@ -647,8 +647,8 @@ def run_campaign(
             )
         except ExperimentAbortedError as exc:
             errors.append(str(exc))
-            if exc.trace is not None:  # the runs and rates before the failure
-                measured = dict(traces=exc.completed + (exc.trace,))
+            # the finished runs, then the rates the aborted one probed
+            measured = dict(traces=tuple(t for t in exc.traces if t.entries))
         except Srv6BenchError as exc:
             errors.append(str(exc))
         finally:

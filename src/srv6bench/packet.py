@@ -22,7 +22,7 @@ from .catalog import (
     lookup,
     traffic_requirement,
 )
-from .errors import RequirementViolationError, Srv6BenchError
+from .errors import Srv6BenchError
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
@@ -398,17 +398,17 @@ def hexdump(template: PacketTemplate) -> str:
 def _inner_stack(kind: InnerKind, size: int) -> list[Layer]:
     if kind is InnerKind.IPV6:
         if size < IPV6_HEADER_LEN:
-            raise RequirementViolationError("inner IPv6 packet smaller than header")
+            raise Srv6BenchError("inner IPv6 packet smaller than header")
         pad = size - IPV6_HEADER_LEN
         stack: list[Layer] = [IPv6Header(next_header=NEXT_HEADER_NONE)]
     elif kind is InnerKind.IPV4:
         if size < IPV4_HEADER_LEN:
-            raise RequirementViolationError("inner IPv4 packet smaller than header")
+            raise Srv6BenchError("inner IPv4 packet smaller than header")
         pad = size - IPV4_HEADER_LEN
         stack = [IPv4Header(protocol=PROTO_PAYLOAD)]
     else:  # inner Ethernet frame wrapping a small IPv6 packet
         if size < ETHERNET_LEN + IPV6_HEADER_LEN:
-            raise RequirementViolationError("inner frame too small for Ethernet+IPv6")
+            raise Srv6BenchError("inner frame too small for Ethernet+IPv6")
         pad = size - ETHERNET_LEN - IPV6_HEADER_LEN
         stack = [Ethernet(), IPv6Header(next_header=NEXT_HEADER_NONE)]
     if pad:
@@ -450,13 +450,13 @@ def build_test_packet(
         return PacketTemplate(tuple([eth] + inner))
 
     if len(sid_plan) < req.min_sids:
-        raise RequirementViolationError(
+        raise Srv6BenchError(
             f"need at least {req.min_sids} SIDs, got {len(sid_plan)}"
         )
     segments = tuple(reversed(tuple(sid_plan)))
     segments_left = len(segments) - 1 if req.active_sid_must_not_be_last else 0
     if req.active_sid_must_not_be_last and segments_left == 0:
-        raise RequirementViolationError(
+        raise Srv6BenchError(
             "active SID must not be the last SID for this behavior"
         )
 
@@ -510,7 +510,7 @@ def _split_outer(template: PacketTemplate):
         or not isinstance(layers[1], IPv6Header)
         or not isinstance(layers[2], SegmentRoutingHeader)
     ):
-        raise RequirementViolationError(
+        raise Srv6BenchError(
             "behavior needs an SRv6-encapsulated packet (IPv6 + SRH)"
         )
     return layers[0], layers[1], layers[2], layers[3:]
@@ -535,7 +535,7 @@ def _decap(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
         or not isinstance(layers[0], Ethernet)
         or not isinstance(layers[1], IPv6Header)
     ):
-        raise RequirementViolationError(
+        raise Srv6BenchError(
             "decap needs an outer IPv6 encapsulation"
         )
     eth, outer = layers[0], layers[1]
@@ -543,7 +543,7 @@ def _decap(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
     if isinstance(layers[2], SegmentRoutingHeader):
         srh = layers[2]
         if srh.segments_left != 0:
-            raise RequirementViolationError(
+            raise Srv6BenchError(
                 "decap requires the active SID to be the last SID"
             )
         last_nh, inner = srh.next_header, layers[3:]
@@ -551,7 +551,7 @@ def _decap(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
         # single-segment encapsulation carries no SRH
         last_nh, inner = outer.next_header, layers[2:]
     if last_nh != expected:
-        raise RequirementViolationError(
+        raise Srv6BenchError(
             f"inner packet is not {kind.value} (next header {last_nh})"
         )
     if kind is InnerKind.ETHERNET:
@@ -566,7 +566,7 @@ def _encap(
     template: PacketTemplate, cfg: BehaviorConfig, l2: bool
 ) -> PacketTemplate:
     if not cfg.segments:
-        raise RequirementViolationError("headend behavior needs a SID list")
+        raise Srv6BenchError("headend behavior needs a SID list")
     layers = template.layers
     if l2:
         inner: tuple[Layer, ...] = layers  # the whole received frame
@@ -574,7 +574,7 @@ def _encap(
         eth = Ethernet()
     else:
         if len(layers) < 2 or not isinstance(layers[1], (IPv6Header, IPv4Header)):
-            raise RequirementViolationError("encap needs an inner IP packet")
+            raise Srv6BenchError("encap needs an inner IP packet")
         inner = layers[1:]
         inner_nh = (
             NEXT_HEADER_IPV6
@@ -603,10 +603,10 @@ def _encap(
 
 def _insert(template: PacketTemplate, cfg: BehaviorConfig) -> PacketTemplate:
     if not cfg.segments:
-        raise RequirementViolationError("headend behavior needs a SID list")
+        raise Srv6BenchError("headend behavior needs a SID list")
     layers = template.layers
     if len(layers) < 2 or not isinstance(layers[1], IPv6Header):
-        raise RequirementViolationError("SRH insertion needs an IPv6 packet")
+        raise Srv6BenchError("SRH insertion needs an IPv6 packet")
     eth, ipv6, rest = layers[0], layers[1], layers[2:]
     # original destination joins the list as the final segment
     segments = (Sid(ipv6.dst),) + tuple(reversed(cfg.segments))
@@ -625,11 +625,11 @@ def _plain_forward(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
     layers = template.layers
     if kind is InnerKind.IPV6:
         if len(layers) < 2 or not isinstance(layers[1], IPv6Header):
-            raise RequirementViolationError("expected an IPv6 packet")
+            raise Srv6BenchError("expected an IPv6 packet")
         hdr = replace(layers[1], hop_limit=max(layers[1].hop_limit - 1, 0))
     else:
         if len(layers) < 2 or not isinstance(layers[1], IPv4Header):
-            raise RequirementViolationError("expected an IPv4 packet")
+            raise Srv6BenchError("expected an IPv4 packet")
         hdr = replace(layers[1], ttl=max(layers[1].ttl - 1, 0))
     return PacketTemplate((layers[0], hdr) + layers[2:])
 
@@ -684,7 +684,7 @@ def satisfies(template: PacketTemplate, req: TrafficRequirement) -> bool:
     if req.needs_srv6_encap:
         try:
             _, _, srh, inner = _split_outer(template)
-        except RequirementViolationError:
+        except Srv6BenchError:
             return False
         if len(srh.segments) < req.min_sids:
             return False

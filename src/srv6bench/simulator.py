@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Protocol
 
 from .catalog import BehaviorId, traffic_requirement
-from .errors import RequirementViolationError, Srv6BenchError
+from .errors import Srv6BenchError
 from .packet import (
     BehaviorConfig,
     IPv4Header,
@@ -118,7 +118,7 @@ def run_trial(
         raise ValueError("rate and duration must be positive")
     req = traffic_requirement(behavior)
     if not satisfies(template, req):
-        raise RequirementViolationError(
+        raise Srv6BenchError(
             f"template does not satisfy the {behavior} traffic requirement"
         )
     cfg = model.behavior_config.get(behavior)

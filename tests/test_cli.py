@@ -148,7 +148,7 @@ class TestRun:
         request.getfixturevalue("nonconforming_end")
         capsys.readouterr()
         assert run_cmd(*args, tmp_path / "bad") == EXIT_PARTIAL
-        assert "End: ERROR: driver failure at " in capsys.readouterr().out
+        assert "End: ERROR: search aborted at " in capsys.readouterr().out
         good, bad = rows(tmp_path / "good"), rows(tmp_path / "bad")
         assert [r["behavior"] for r in bad] == ["PlainIPv6", "End", "End.DT6", "H.Encaps"]
         end = bad[1]
@@ -157,6 +157,8 @@ class TestRun:
         )
         assert end["pdr_low_pps"] is None and end["pdr_high_pps"] is None
         assert end["stats"] is None
+        # End failed on its first trial: it probed no rate, so it has no trace
+        assert not (tmp_path / "bad" / "trace_End.json").exists()
         assert [r for r in bad if r is not end] == [r for r in good if r["behavior"] != "End"]
 
     def test_ndr_campaign_says_ndr(self, tmp_path, capsys):

@@ -8,11 +8,7 @@ import math
 import pytest
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
-from srv6bench.errors import (
-    ExperimentAbortedError,
-    Srv6BenchError,
-    UnstableMeasurementError,
-)
+from srv6bench.errors import ExperimentAbortedError, Srv6BenchError
 from srv6bench.finder import (
     FLAG_BELOW_SEARCH_FLOOR,
     FLAG_LINE_RATE_LIMITED,
@@ -102,7 +98,7 @@ class TestEvaluatePoint:
         # batch: 1 + 4 + 5 + 5 = 15 trials, then the error
         wild = [(100000, 99500), (100000, 70000)] * 8
         d = ScriptedDriver(wild)
-        with pytest.raises(UnstableMeasurementError):
+        with pytest.raises(Srv6BenchError, match="rx rate CV stayed above"):
             evaluate_point(d, 100.0, 10.0, 0.005, self.POLICY)
         assert len(d.calls) == 15
 
@@ -144,7 +140,7 @@ class TestEvaluatePoint:
         seed = next((s for s in range(1000) if first_in_band(s)), None)
         assert seed is not None
         d = CountingDriver(driver(seed))
-        with pytest.raises(UnstableMeasurementError):
+        with pytest.raises(Srv6BenchError, match="rx rate CV stayed above"):
             evaluate_point(d, rate, 10.0, 0.005, self.POLICY)
         assert d.trials == 15
 
@@ -209,10 +205,10 @@ class TestBinarySearch:
             def run_trial(self, rate_pps, duration_s):
                 raise Srv6BenchError("gone")
 
-        message = "^driver failure at [0-9]+ pps: gone$"
+        message = "^search aborted at [0-9]+ pps: gone$"
         with pytest.raises(ExperimentAbortedError, match=message) as info:
             find_pdr(DeadDriver(), LPR_64)
-        assert info.value.trace is not None
+        assert [t.entries for t in info.value.traces] == [[]]
 
 
 class TestLegacySearch:

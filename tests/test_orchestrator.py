@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import typing
@@ -29,7 +30,7 @@ from srv6bench.orchestrator import (
     run_campaign,
 )
 from srv6bench.packet import BehaviorConfig, Sid
-from srv6bench.ratemath import LinkSpec
+from srv6bench.ratemath import LinkSpec, TrialSample
 from srv6bench.simulator import ForwarderModel, SimDriver
 from conftest import SHIPPED
 
@@ -488,46 +489,78 @@ class TestCampaign:
             experiment, sim_testbed(), executor=executor, driver_factory=dead_factory
         )
         assert result.partial
-        assert result.entries[0].error.startswith("driver failure at ")
+        assert result.entries[0].error.startswith("search aborted at ")
         assert result.entries[0].error.endswith(" pps: gone")
         assert executor.commands[-1] == "sim clear-behavior End"
 
-    @pytest.mark.parametrize("runs", [1, 3])
-    def test_aborted_search_keeps_its_partial_trace(self, runs, tmp_path):
+    @pytest.mark.parametrize(
+        "runs, failure",
+        [
+            pytest.param(1, "link down", id="1"),
+            pytest.param(3, "link down", id="3"),
+            pytest.param(1, "unstable", id="unstable-1"),
+            pytest.param(3, "unstable", id="unstable-3"),
+            pytest.param(1, "first trial", id="first-trial-1"),
+            pytest.param(3, "first trial", id="first-trial-3"),
+        ],
+    )
+    def test_aborted_search_keeps_its_partial_trace(self, runs, failure, tmp_path):
         experiment = ExperimentConfig(behaviors=(BehaviorId.PLAIN_IPV6,), runs=runs)
         testbed = sim_testbed({BehaviorId.PLAIN_IPV6: 1221e3})
         clean = run_campaign(experiment, testbed).entries[0].traces
         per_search = sum(e.repetitions for e in clean[0].entries)
+        last_search = (runs - 1) * per_search
+        swing = itertools.cycle([0.995, 0.7])
 
-        class FailsInLastSearch:
-            """Fails on the 3rd trial of the last search."""
+        class Failing:
+            """"link down" fails the 3rd trial of the last search and "first
+            trial" the campaign's first. "unstable" swings rx by 30 % from
+            the last search's first full-duration trial on, so that near-band
+            batch exhausts retry_cap."""
 
             def __init__(self, inner):
-                self.inner, self.rates = inner, []
+                self.inner, self.rates, self.failed_at = inner, [], None
 
             def run_trial(self, rate_pps, duration_s):
+                n = len(self.rates)
                 self.rates.append(rate_pps)
-                if len(self.rates) == (runs - 1) * per_search + 3:
+                full = duration_s == experiment.search.trial_duration_s
+                if failure == "unstable" and n >= last_search and full:
+                    if self.failed_at is None:
+                        self.failed_at = n
+                    tx = round(rate_pps * duration_s)
+                    return TrialSample(tx, round(tx * next(swing)), duration_s)
+                if n == {"link down": last_search + 2, "first trial": 0}.get(failure):
+                    self.failed_at = n
                     raise Srv6BenchError("link down")
                 return self.inner.run_trial(rate_pps, duration_s)
 
         drivers = []
 
         def factory(behavior, template, testbed):
-            drivers.append(FailsInLastSearch(_make_driver(behavior, template, testbed)))
+            drivers.append(Failing(_make_driver(behavior, template, testbed)))
             return drivers[-1]
 
         result = run_campaign(experiment, testbed, driver_factory=factory)
         (entry,) = result.entries
-        assert entry.error == f"driver failure at {drivers[0].rates[-1]:.0f} pps: link down"
-        # the completed runs in order, then the rates the aborted one finished
-        *complete, partial = entry.traces
-        assert complete == list(clean[: runs - 1])
-        assert [e.tx_rate_pps for e in partial.entries] == drivers[0].rates[-3:-1]
+        rates, failed_at = drivers[0].rates, drivers[0].failed_at
+        cause = "rx rate CV stayed above 1.0%" if failure == "unstable" else "link down"
+        assert entry.error.startswith(f"search aborted at {rates[failed_at]:.0f} pps: {cause}")
+        # the finished runs in order, then the rates the aborted one decided, if any
+        done = failed_at // per_search
+        decided = list(dict.fromkeys(rates[done * per_search : failed_at]))
+        assert entry.traces[:done] == clean[:done]
+        partial = [[e.tx_rate_pps for e in t.entries] for t in entry.traces[done:]]
+        assert partial == ([decided] if decided else [])
 
         _write_outputs(result, tmp_path)
-        written = json.loads((tmp_path / "trace_PlainIPv6.json").read_text())
-        assert written == [t.records() for t in entry.traces]
+        trace_file = tmp_path / "trace_PlainIPv6.json"
+        if entry.traces:
+            assert json.loads(trace_file.read_text()) == [t.records() for t in entry.traces]
+        else:
+            assert not trace_file.exists()
+        rows = (tmp_path / "plot_data.csv").read_text().splitlines()[1:]
+        assert len(rows) == sum(len(t.entries) for t in entry.traces)
 
     def test_missing_capacity_is_a_per_behavior_error(self):
         experiment = ExperimentConfig(behaviors=(BehaviorId.END_T,), runs=1)
@@ -545,6 +578,44 @@ class TestCampaign:
         assert end.error is None and end.interval is not None
         assert not any("End.T" in command for command in executor.commands)
         assert executor.commands == ["sim set-behavior End", "sim clear-behavior End"]
+
+
+@given(runs=st.integers(min_value=1, max_value=3), data=st.data())
+def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
+    """Wherever a trial raises, run_campaign records one error, tears the
+    behavior down last and keeps the finished runs, then the partial one
+    if it probed a rate."""
+    experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=runs)
+    (search,) = run_campaign(dataclasses.replace(experiment, runs=1), sim_testbed()).entries[0].traces
+    per_search = sum(e.repetitions for e in search.entries)
+    fail_at = data.draw(st.integers(min_value=0, max_value=runs * per_search - 1))
+
+    class FailsAt:
+        def __init__(self, inner):
+            self.inner, self.rates = inner, []
+
+        def run_trial(self, rate_pps, duration_s):
+            self.rates.append(rate_pps)
+            if len(self.rates) > fail_at:
+                raise Srv6BenchError("link down")
+            return self.inner.run_trial(rate_pps, duration_s)
+
+    drivers = []
+
+    def factory(behavior, template, testbed):
+        drivers.append(FailsAt(_make_driver(behavior, template, testbed)))
+        return drivers[-1]
+
+    executor = RecordingExecutor()
+    result = run_campaign(experiment, sim_testbed(), executor=executor, driver_factory=factory)
+    (entry,) = result.entries
+    assert entry.error.startswith("search aborted at ")
+    assert executor.commands[-1] == "sim clear-behavior End"
+    done = fail_at // per_search
+    decided = list(dict.fromkeys(drivers[0].rates[done * per_search : fail_at]))
+    assert entry.traces[:done] == (search,) * done
+    partial = [[e.tx_rate_pps for e in t.entries] for t in entry.traces[done:]]
+    assert partial == ([decided] if decided else [])
 
 
 class TestCampaignSerialization:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
-from srv6bench.errors import RequirementViolationError, Srv6BenchError
+from srv6bench.errors import Srv6BenchError
 from srv6bench.packet import (
     BehaviorConfig,
     Ethernet,
@@ -206,13 +206,13 @@ class TestBuildTestPacket:
 
     def test_too_few_sids_rejected(self):
         req = traffic_requirement(BehaviorId.END)
-        with pytest.raises(RequirementViolationError):
+        with pytest.raises(Srv6BenchError, match="^need at least 2 SIDs, got 1$"):
             build_test_packet(req, [SID1])
 
     def test_forbidden_segments_left_rejected(self):
         # one SID would put End's active SID last
         req = replace(traffic_requirement(BehaviorId.END), min_sids=1)
-        with pytest.raises(RequirementViolationError, match="active SID must not be the last SID"):
+        with pytest.raises(Srv6BenchError, match="active SID must not be the last SID"):
             build_test_packet(req, [SID1])
 
     def test_decap_packet_sits_at_last_segment(self, dt6_template):
@@ -255,14 +255,14 @@ class TestEndpointTransforms:
         assert action.target == "100"
 
     def test_dt6_refuses_pending_segments(self, end_template):
-        with pytest.raises(RequirementViolationError):
+        with pytest.raises(Srv6BenchError, match="^decap requires the active SID to be the last SID$"):
             apply_behavior(BehaviorId.END_DT6, end_template)
 
     def test_dt6_refuses_ipv4_inner(self):
         req = traffic_requirement(BehaviorId.END_DT4)
         t = build_test_packet(req, [SID1, SID2])
         message = r"^inner packet is not ipv6 \(next header 4\)$"
-        with pytest.raises(RequirementViolationError, match=message):
+        with pytest.raises(Srv6BenchError, match=message):
             apply_behavior(BehaviorId.END_DT6, t)
 
     def test_dx2_exposes_the_inner_frame(self):
@@ -325,7 +325,7 @@ class TestHeadendTransforms:
     def test_headend_without_sids_rejected(self):
         req = traffic_requirement(BehaviorId.H_ENCAPS)
         t = build_test_packet(req, [])
-        with pytest.raises(RequirementViolationError):
+        with pytest.raises(Srv6BenchError, match="^headend behavior needs a SID list$"):
             apply_behavior(BehaviorId.H_ENCAPS, t, BehaviorConfig())
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
-from srv6bench.errors import RequirementViolationError, Srv6BenchError
+from srv6bench.errors import Srv6BenchError
 from srv6bench.packet import PacketTemplate, apply_behavior, build_test_packet
 from srv6bench.simulator import (
     ForwarderModel,
@@ -97,7 +97,7 @@ class TestRunTrial:
 
     def test_template_mismatch_rejected(self, dt6_template):
         # a decap packet (Segments Left 0) cannot exercise End
-        with pytest.raises(RequirementViolationError):
+        with pytest.raises(Srv6BenchError, match="^template does not satisfy the End traffic requirement$"):
             run_trial(model(), END, dt6_template, 1_000_000, 1.0)
 
     def test_unknown_capacity_rejected(self, end_template):
@@ -202,5 +202,5 @@ def test_headend_behavior_needs_config(end_template):
     req = traffic_requirement(BehaviorId.H_ENCAPS)
     t = build_test_packet(req, [])
     m = ForwarderModel({BehaviorId.H_ENCAPS: 1e6})
-    with pytest.raises(RequirementViolationError):
+    with pytest.raises(Srv6BenchError, match="^headend behavior needs a SID list$"):
         run_trial(m, BehaviorId.H_ENCAPS, t, 1_000_000, 1.0)
