@@ -511,47 +511,36 @@ class TestCampaign:
         per_search = sum(e.repetitions for e in clean[0].entries)
         last_search = (runs - 1) * per_search
         swing = itertools.cycle([0.995, 0.7])
+        failed = []
 
-        class Failing:
-            """"link down" fails the 3rd trial of the last search and "first
-            trial" the campaign's first. "unstable" swings rx by 30 % from
-            the last search's first full-duration trial on, so that near-band
-            batch exhausts retry_cap."""
+        def fail(n, rate_pps, duration_s):
+            # "link down" fails the 3rd trial of the last search and "first
+            # trial" the campaign's first. "unstable" swings rx by 30 % from
+            # the last search's first full-duration trial on, so that
+            # near-band batch exhausts retry_cap.
+            full = duration_s == experiment.search.trial_duration_s
+            if failure == "unstable" and n >= last_search and full:
+                failed.append(n)
+                tx = round(rate_pps * duration_s)
+                return TrialSample(tx, round(tx * next(swing)), duration_s)
+            if n == {"link down": last_search + 2, "first trial": 0}.get(failure):
+                failed.append(n)
+                raise Srv6BenchError("link down")
+            return None
 
-            def __init__(self, inner):
-                self.inner, self.rates, self.failed_at = inner, [], None
-
-            def run_trial(self, rate_pps, duration_s):
-                n = len(self.rates)
-                self.rates.append(rate_pps)
-                full = duration_s == experiment.search.trial_duration_s
-                if failure == "unstable" and n >= last_search and full:
-                    if self.failed_at is None:
-                        self.failed_at = n
-                    tx = round(rate_pps * duration_s)
-                    return TrialSample(tx, round(tx * next(swing)), duration_s)
-                if n == {"link down": last_search + 2, "first trial": 0}.get(failure):
-                    self.failed_at = n
-                    raise Srv6BenchError("link down")
-                return self.inner.run_trial(rate_pps, duration_s)
-
-        drivers = []
-
-        def factory(behavior, template, testbed):
-            drivers.append(Failing(_make_driver(behavior, template, testbed)))
-            return drivers[-1]
-
-        result = run_campaign(experiment, testbed, driver_factory=factory)
+        result, rates = _campaign_failing_at(experiment, testbed, fail)
         (entry,) = result.entries
-        rates, failed_at = drivers[0].rates, drivers[0].failed_at
-        cause = "rx rate CV stayed above 1.0%" if failure == "unstable" else "link down"
-        assert entry.error.startswith(f"search aborted at {rates[failed_at]:.0f} pps: {cause}")
-        # the finished runs in order, then the rates the aborted one decided, if any
-        done = failed_at // per_search
-        decided = list(dict.fromkeys(rates[done * per_search : failed_at]))
-        assert entry.traces[:done] == clean[:done]
-        partial = [[e.tx_rate_pps for e in t.entries] for t in entry.traces[done:]]
-        assert partial == ([decided] if decided else [])
+        failed_at = failed[0]
+        rate = f"{rates[failed_at]:.0f}"
+        cause = "link down"
+        if failure == "unstable":
+            policy = experiment.policy
+            cause = (
+                f"rx rate CV stayed above {policy.max_rx_cv_percent}% "
+                f"after {policy.retry_cap} batches at {rate} pps"
+            )
+        assert entry.error == f"search aborted at {rate} pps: {cause}"
+        _assert_kept_runs(entry, clean, per_search, rates, failed_at)
 
         _write_outputs(result, tmp_path)
         trace_file = tmp_path / "trace_PlainIPv6.json"
@@ -580,6 +569,39 @@ class TestCampaign:
         assert executor.commands == ["sim set-behavior End", "sim clear-behavior End"]
 
 
+def _campaign_failing_at(experiment, testbed, fail, executor=None):
+    """Run the campaign with every trial passed first to fail(n, rate_pps,
+    duration_s), n counting the campaign's trials from 0. fail may raise,
+    return the TrialSample to use or return None to run the real trial.
+    Returns the result and every rate probed."""
+    rates = []
+
+    class Failing:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def run_trial(self, rate_pps, duration_s):
+            rates.append(rate_pps)
+            sample = fail(len(rates) - 1, rate_pps, duration_s)
+            return sample if sample is not None else self.inner.run_trial(rate_pps, duration_s)
+
+    def factory(behavior, template, testbed):
+        return Failing(_make_driver(behavior, template, testbed))
+
+    result = run_campaign(experiment, testbed, executor=executor, driver_factory=factory)
+    return result, rates
+
+
+def _assert_kept_runs(entry, clean, per_search, rates, failed_at):
+    """The entry keeps the finished runs in order, then the rates the
+    aborted run decided, if it decided any."""
+    done = failed_at // per_search
+    decided = list(dict.fromkeys(rates[done * per_search : failed_at]))
+    assert entry.traces[:done] == clean[:done]
+    partial = [[e.tx_rate_pps for e in t.entries] for t in entry.traces[done:]]
+    assert partial == ([decided] if decided else [])
+
+
 @given(runs=st.integers(min_value=1, max_value=3), data=st.data())
 def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
     """Wherever a trial raises, run_campaign records one error, tears the
@@ -590,32 +612,16 @@ def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
     per_search = sum(e.repetitions for e in search.entries)
     fail_at = data.draw(st.integers(min_value=0, max_value=runs * per_search - 1))
 
-    class FailsAt:
-        def __init__(self, inner):
-            self.inner, self.rates = inner, []
-
-        def run_trial(self, rate_pps, duration_s):
-            self.rates.append(rate_pps)
-            if len(self.rates) > fail_at:
-                raise Srv6BenchError("link down")
-            return self.inner.run_trial(rate_pps, duration_s)
-
-    drivers = []
-
-    def factory(behavior, template, testbed):
-        drivers.append(FailsAt(_make_driver(behavior, template, testbed)))
-        return drivers[-1]
+    def fail(n, rate_pps, duration_s):
+        if n == fail_at:
+            raise Srv6BenchError("link down")
 
     executor = RecordingExecutor()
-    result = run_campaign(experiment, sim_testbed(), executor=executor, driver_factory=factory)
+    result, rates = _campaign_failing_at(experiment, sim_testbed(), fail, executor)
     (entry,) = result.entries
-    assert entry.error.startswith("search aborted at ")
+    assert entry.error == f"search aborted at {rates[fail_at]:.0f} pps: link down"
     assert executor.commands[-1] == "sim clear-behavior End"
-    done = fail_at // per_search
-    decided = list(dict.fromkeys(drivers[0].rates[done * per_search : fail_at]))
-    assert entry.traces[:done] == (search,) * done
-    partial = [[e.tx_rate_pps for e in t.entries] for t in entry.traces[done:]]
-    assert partial == ([decided] if decided else [])
+    _assert_kept_runs(entry, (search,) * runs, per_search, rates, fail_at)
 
 
 class TestCampaignSerialization:
