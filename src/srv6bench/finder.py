@@ -194,7 +194,7 @@ def evaluate_point(
         samples, drs = [], []
     raise Srv6BenchError(
         f"rx rate CV stayed above {policy.max_rx_cv_percent}% "
-        f"after {policy.retry_cap} batches at {tx_rate_pps:.0f} pps"
+        f"after {policy.retry_cap} batches"
     )
 
 

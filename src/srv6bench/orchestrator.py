@@ -583,7 +583,6 @@ def _make_driver(behavior, template, testbed: TestbedConfig):
             f"no traffic generator for the {testbed.forwarder_kind} forwarder: "
             f"the TRex driver is not available in this build"
         )
-    testbed.model.capacity(behavior)  # no capacity: fail before any setup
     model = replace(testbed.model, behavior_config=default_behavior_configs())
     return SimDriver(model, behavior, template)
 

@@ -99,47 +99,6 @@ def _outermost_hop_limit(template: PacketTemplate) -> Optional[int]:
     return None
 
 
-def run_trial(
-    model: ForwarderModel,
-    behavior: BehaviorId,
-    template: PacketTemplate,
-    rate_pps: float,
-    duration_s: float,
-    rng: Optional[random.Random] = None,
-) -> TrialSample:
-    """Offer traffic for a fixed duration and report what came back.
-
-    A behavior whose forwarded packet does not survive encode/decode
-    unchanged does not conform and fails the trial. A noisy model takes
-    its draw from rng, which SimDriver keeps per driver; a noiseless one
-    needs none.
-    """
-    if rate_pps <= 0 or duration_s <= 0:
-        raise ValueError("rate and duration must be positive")
-    req = traffic_requirement(behavior)
-    if not satisfies(template, req):
-        raise Srv6BenchError(
-            f"template does not satisfy the {behavior} traffic requirement"
-        )
-    cfg = model.behavior_config.get(behavior)
-    forwarded, _ = apply_behavior(behavior, template, cfg)
-    if decode(encode(forwarded)) != forwarded:
-        raise Srv6BenchError(
-            f"{behavior} does not conform: its forwarded packet does not survive encode/decode"
-        )
-
-    p_in = round(rate_pps * duration_s)
-    hop_limit = _outermost_hop_limit(forwarded)
-    if hop_limit == 0:
-        p_out = 0
-    else:
-        expected = p_in * delivery_model(model, behavior, rate_pps)
-        if model.noise_sigma > 0:
-            expected *= 1.0 + rng.gauss(0.0, model.noise_sigma)
-        p_out = min(max(round(expected), 0), p_in)
-    return TrialSample(tx_packets=p_in, rx_packets=p_out, duration_s=duration_s)
-
-
 class TrafficDriver(Protocol):
     """Blocking trial-running contract the search algorithms rely on."""
 
@@ -149,20 +108,44 @@ class TrafficDriver(Protocol):
 class SimDriver:
     """Reference driver: runs trials against a ForwarderModel.
 
-    A noisy model gets one generator per driver, seeded once from the
-    model seed and the behavior, so each trial draws the next noise value.
+    The template is checked against the behavior's traffic requirement,
+    and the model for the behavior's capacity, once, when the driver is
+    built. A noisy model gets one generator per driver, seeded once from
+    the model seed and the behavior, so each trial draws the next noise
+    value.
     """
 
     def __init__(
         self, model: ForwarderModel, behavior: BehaviorId, template: PacketTemplate
     ):
+        if not satisfies(template, traffic_requirement(behavior)):
+            raise Srv6BenchError(f"template does not satisfy the {behavior} traffic requirement")
+        model.capacity(behavior)
         self.model = model
         self.behavior = behavior
         self.template = template
+        self._config = model.behavior_config.get(behavior)
         noisy = model.noise_sigma > 0
         self._rng = random.Random(f"{model.seed}|{behavior.value}") if noisy else None
 
     def run_trial(self, rate_pps: float, duration_s: float) -> TrialSample:
-        return run_trial(
-            self.model, self.behavior, self.template, rate_pps, duration_s, self._rng
-        )
+        """Offer traffic for a fixed duration and report what came back. A
+        forwarded packet that does not survive encode/decode fails the trial."""
+        if rate_pps <= 0 or duration_s <= 0:
+            raise ValueError("rate and duration must be positive")
+        behavior = self.behavior
+        forwarded, _ = apply_behavior(behavior, self.template, self._config)
+        if decode(encode(forwarded)) != forwarded:
+            raise Srv6BenchError(
+                f"{behavior} does not conform: its forwarded packet does not survive encode/decode"
+            )
+        p_in = round(rate_pps * duration_s)
+        if _outermost_hop_limit(forwarded) == 0:
+            p_out = 0
+        else:
+            model = self.model
+            expected = p_in * delivery_model(model, behavior, rate_pps)
+            if self._rng is not None:
+                expected *= 1.0 + self._rng.gauss(0.0, model.noise_sigma)
+            p_out = min(max(round(expected), 0), p_in)
+        return TrialSample(tx_packets=p_in, rx_packets=p_out, duration_s=duration_s)

@@ -537,7 +537,7 @@ class TestCampaign:
             policy = experiment.policy
             cause = (
                 f"rx rate CV stayed above {policy.max_rx_cv_percent}% "
-                f"after {policy.retry_cap} batches at {rate} pps"
+                f"after {policy.retry_cap} batches"
             )
         assert entry.error == f"search aborted at {rate} pps: {cause}"
         _assert_kept_runs(entry, clean, per_search, rates, failed_at)
@@ -567,6 +567,21 @@ class TestCampaign:
         assert end.error is None and end.interval is not None
         assert not any("End.T" in command for command in executor.commands)
         assert executor.commands == ["sim set-behavior End", "sim clear-behavior End"]
+
+    def test_a_template_for_another_behavior_fails_before_any_setup_command(self):
+        experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=1)
+        testbed = sim_testbed()
+        executor = RecordingExecutor()
+        dt6_template = resolve(BehaviorId.END_DT6, testbed)[0]
+
+        def factory(behavior, template, testbed):
+            return SimDriver(testbed.model, behavior, dt6_template)
+
+        result = run_campaign(experiment, testbed, executor=executor, driver_factory=factory)
+        (entry,) = result.entries
+        assert entry.error == "template does not satisfy the End traffic requirement"
+        assert entry.traces == ()
+        assert executor.commands == []
 
 
 def _campaign_failing_at(experiment, testbed, fail, executor=None):

@@ -6,15 +6,25 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from srv6bench.catalog import BehaviorId, traffic_requirement
+from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
 from srv6bench.errors import Srv6BenchError
-from srv6bench.packet import PacketTemplate, apply_behavior, build_test_packet
+from srv6bench.orchestrator import default_behavior_configs
+from srv6bench.packet import (
+    ETHERNET_LEN,
+    IPV4_HEADER_LEN,
+    IPV6_HEADER_LEN,
+    PacketTemplate,
+    Sid,
+    apply_behavior,
+    build_test_packet,
+    decode,
+    encode,
+)
 from srv6bench.simulator import (
     ForwarderModel,
     SimDriver,
     analytic_pdr,
     delivery_model,
-    run_trial,
 )
 from conftest import SID1, SID2
 
@@ -82,7 +92,7 @@ class TestAnalyticPdr:
 class TestRunTrial:
     def test_noiseless_counts(self, end_template):
         m = model(loss_at_capacity=0.01, curve_exponent=4.0)
-        sample = run_trial(m, END, end_template, 1_000_000, 10.0)
+        sample = SimDriver(m, END, end_template).run_trial(1_000_000, 10.0)
         assert sample.tx_packets == 10_000_000
         expected = round(10_000_000 * delivery_model(m, END, 1_000_000))
         assert sample.rx_packets == expected
@@ -93,17 +103,18 @@ class TestRunTrial:
             Srv6BenchError,
             match="^End does not conform: its forwarded packet does not survive encode/decode$",
         ):
-            run_trial(model(), END, end_template, 1_000_000, 1.0)
+            SimDriver(model(), END, end_template).run_trial(1_000_000, 1.0)
 
     def test_template_mismatch_rejected(self, dt6_template):
-        # a decap packet (Segments Left 0) cannot exercise End
+        # a decap packet (Segments Left 0) cannot exercise End; the driver
+        # refuses it when it is built, before any trial
         with pytest.raises(Srv6BenchError, match="^template does not satisfy the End traffic requirement$"):
-            run_trial(model(), END, dt6_template, 1_000_000, 1.0)
+            SimDriver(model(), END, dt6_template)
 
     def test_unknown_capacity_rejected(self, end_template):
         m = ForwarderModel({BehaviorId.END_T: 1e6})
         with pytest.raises(Srv6BenchError, match="^no capacity configured for End$"):
-            run_trial(m, END, end_template, 1_000_000, 1.0)
+            SimDriver(m, END, end_template)
 
     def test_exhausted_hop_limit_blackholes(self, end_template):
         layers = list(end_template.layers)
@@ -111,7 +122,7 @@ class TestRunTrial:
         t = PacketTemplate(tuple(layers))
         forwarded, _ = apply_behavior(END, t)
         assert forwarded.layers[1].hop_limit == 0
-        assert run_trial(model(), END, t, 1_000_000, 1.0).rx_packets == 0
+        assert SimDriver(model(), END, t).run_trial(1_000_000, 1.0).rx_packets == 0
 
     def test_noise_never_exceeds_offered(self, end_template):
         d = SimDriver(model(noise_sigma=0.5, seed=9), END, end_template)
@@ -203,4 +214,35 @@ def test_headend_behavior_needs_config(end_template):
     t = build_test_packet(req, [])
     m = ForwarderModel({BehaviorId.H_ENCAPS: 1e6})
     with pytest.raises(Srv6BenchError, match="^headend behavior needs a SID list$"):
-        run_trial(m, BehaviorId.H_ENCAPS, t, 1_000_000, 1.0)
+        SimDriver(m, BehaviorId.H_ENCAPS, t).run_trial(1_000_000, 1.0)
+
+
+MEASURED = [spec.id for spec in catalog() if spec.measured]
+MIN_INNER_SIZE = {
+    InnerKind.IPV6: IPV6_HEADER_LEN,
+    InnerKind.IPV4: IPV4_HEADER_LEN,
+    InnerKind.ETHERNET: ETHERNET_LEN + IPV6_HEADER_LEN,
+}
+
+
+@given(data=st.data())
+def test_every_measured_template_and_its_forward_round_trip(data):
+    """A measured behavior's template and its forwarded packet survive the
+    codec, and a driver builds on the template and runs a trial. A
+    conformance check done once per driver relies on this."""
+    behavior = data.draw(st.sampled_from(MEASURED))
+    req = traffic_requirement(behavior)
+    size = data.draw(st.integers(MIN_INNER_SIZE[req.inner_kind], 1400))
+    sids = data.draw(
+        st.lists(st.binary(min_size=16, max_size=16).map(Sid), min_size=req.min_sids, max_size=6)
+    )
+    template = build_test_packet(replace(req, inner_packet_size=size), sids)
+    configs = default_behavior_configs()
+    forwarded, _ = apply_behavior(behavior, template, configs.get(behavior))
+    assert decode(encode(template)) == template
+    assert decode(encode(forwarded)) == forwarded
+
+    m = ForwarderModel({behavior: 1e6}, behavior_config=configs)
+    sample = SimDriver(m, behavior, template).run_trial(500_000, 1.0)
+    assert sample.tx_packets == 500_000
+    assert sample.rx_packets == round(500_000 * delivery_model(m, behavior, 500_000))
