@@ -5,7 +5,7 @@ Two YAML documents drive a campaign. The experiment file selects the
 behaviors, the search algorithm and its parameters; the testbed file
 describes the forwarder (a simulated model, or a remote Linux/VPP box
 reached over SSH). Forwarder configuration commands live in recipe
-templates as data, rendered against a fixed address plan.
+templates as data, rendered against the fixed address plan of `packet`.
 """
 
 from __future__ import annotations
@@ -36,26 +36,11 @@ from .finder import (
     find_pdr_legacy,
     validate_pdr,
 )
-from .packet import BehaviorConfig, PacketTemplate, Sid, build_test_packet, encode
+from .packet import (  # default_behavior_configs is not used here: it is re-exported
+    ADDRESS_PLAN, SID_PLAN, PacketTemplate, build_test_packet, default_behavior_configs, encode,
+)
 from .ratemath import LinkSpec, SummaryStats, line_packet_rate
 from .simulator import ForwarderModel, SimDriver
-
-# ---------------------------------------------------------------------------
-# address plan: fixed, documented pool used to render recipe placeholders
-
-ADDRESS_PLAN = {
-    "sid1": "fc00:0:0:1::1",  # SID of the behavior under test
-    "sid2": "fc00:0:0:2::1",  # next SID after the active one
-    "iface_in": "eth0",
-    "iface_out": "eth1",
-    "nexthop6": "2001:db8:0:2::2",
-    "nexthop4": "10.0.2.2",
-    "table": "100",
-    "inner_dst6": "fd00:21::1",
-    "inner_dst4": "10.0.2.1",
-    "inner_prefix6": "fd00:21::/64",
-    "inner_prefix4": "10.0.2.0/24",
-}
 
 
 @dataclass(frozen=True)
@@ -347,9 +332,13 @@ def _build(cls, doc: Any, where: str, **given):
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    experiment = _build(ExperimentConfig, _load_yaml(text, "experiment"), "experiment")
+    doc = _load_yaml(text, "experiment")
+    experiment = _build(ExperimentConfig, doc, "experiment")
     if experiment.experiment_type == "ndr":
         # NDR is the zero-loss-threshold special case
+        if experiment.search.loss_threshold and "loss_threshold" in doc.get("search", {}):
+            where = "experiment.search.loss_threshold"
+            raise ConfigError(f"{where}: must be 0 or absent for experiment_type ndr")
         search = replace(experiment.search, loss_threshold=0.0)
         experiment = replace(experiment, search=search)
     return experiment
@@ -391,7 +380,7 @@ def parse_testbed_config(text: str) -> TestbedConfig:
     if not capacities:
         raise ConfigError("testbed.model: need a non-empty capacity_pps or capacity_kpps map")
     capacities = {b: c * scale for b, c in capacities.items()}
-    # behavior_config is not read from the file: _make_driver sets the address plan's
+    # behavior_config is not read from the file: every behavior runs on the address plan
     model = _build(ForwarderModel, scalars, "testbed.model", capacity_pps=capacities, behavior_config={})
     return TestbedConfig(forwarder_kind=kind, link=link, model=model)
 
@@ -539,9 +528,6 @@ class CampaignResult:
         return buf.getvalue()
 
 
-_SID_PLAN = (Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"]))
-
-
 def packet_for(
     behavior: BehaviorId, packet: Optional[PacketOverrides] = None
 ) -> PacketTemplate:
@@ -549,7 +535,7 @@ def packet_for(
     req = traffic_requirement(behavior)
     if packet and packet.inner_size is not None:
         req = replace(req, inner_packet_size=packet.inner_size)
-    return build_test_packet(req, _SID_PLAN)
+    return build_test_packet(req, SID_PLAN)
 
 
 def resolve(
@@ -562,20 +548,6 @@ def resolve(
     return packet_for(behavior, packet), recipe
 
 
-def default_behavior_configs() -> dict[BehaviorId, BehaviorConfig]:
-    """SID lists of the headend policies on the address plan: a single
-    segment for the encap flavors (segment rides in the destination
-    address, no SRH) and two segments for SRH insertion. Every other
-    behavior runs on BehaviorConfig(), whose table, adjacency and
-    interface are the address plan's."""
-    sid1, sid2 = _SID_PLAN
-    return {
-        BehaviorId.H_INSERT: BehaviorConfig(segments=(sid1, sid2)),
-        BehaviorId.H_ENCAPS: BehaviorConfig(segments=(sid1,)),
-        BehaviorId.H_ENCAPS_L2: BehaviorConfig(segments=(sid1,)),
-    }
-
-
 def _make_driver(behavior, template, testbed: TestbedConfig):
     if testbed.forwarder_kind != "sim":
         # no driver for a remote traffic generator: fail before any setup
@@ -583,8 +555,7 @@ def _make_driver(behavior, template, testbed: TestbedConfig):
             f"no traffic generator for the {testbed.forwarder_kind} forwarder: "
             f"the TRex driver is not available in this build"
         )
-    model = replace(testbed.model, behavior_config=default_behavior_configs())
-    return SimDriver(model, behavior, template)
+    return SimDriver(testbed.model, behavior, template)
 
 
 def run_campaign(

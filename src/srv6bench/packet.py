@@ -43,7 +43,19 @@ SID_LEN = 16
 
 DEFAULT_HOP_LIMIT = 64
 
-# Fixed address plan for generated test traffic.
+# The fixed address plan: the forwarder's configuration recipes render it,
+# and the test traffic and the behavior transforms are built on it.
+ADDRESS_PLAN = {
+    "sid1": "fc00:0:0:1::1",  # SID of the behavior under test
+    "sid2": "fc00:0:0:2::1",  # next SID after the active one
+    "iface_in": "eth0",
+    "iface_out": "eth1",
+    "nexthop6": "2001:db8:0:2::2",
+    "nexthop4": "10.0.2.2",
+    "table": "100",
+    "inner_prefix6": "fd00:21::/64",  # holds INNER_DST6
+    "inner_prefix4": "10.0.2.0/24",  # holds INNER_DST4
+}
 TESTER_MAC = bytes.fromhex("020000000001")
 SUT_MAC = bytes.fromhex("020000000002")
 INNER_SRC6 = ipaddress.IPv6Address("fd00:12::1").packed
@@ -73,6 +85,10 @@ class Sid:
 
     def __str__(self) -> str:
         return str(ipaddress.IPv6Address(self.value))
+
+
+# the address plan's SID list, in path order
+SID_PLAN = (Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"]))
 
 
 @dataclass(frozen=True)
@@ -479,17 +495,26 @@ def build_test_packet(
 
 @dataclass(frozen=True)
 class BehaviorConfig:
-    """Per-behavior parameters: SID list for headend behaviors, table or
-    adjacency/interface bindings for endpoint ones."""
+    """A headend behavior's SID list, in path order. Endpoint behaviors
+    take their table, next hop and interface from the address plan."""
 
     segments: tuple[Sid, ...] = ()
-    table: str = "100"
-    adjacency: str = "2001:db8:0:2::2"
-    interface: str = "eth1"
-    tunnel_src: bytes = OUTER_SRC6
 
 
-DEFAULT_BEHAVIOR_CONFIG = BehaviorConfig()
+def default_behavior_configs() -> dict[BehaviorId, BehaviorConfig]:
+    """SID lists of the headend policies on the address plan: a single
+    segment for the encap flavors (segment rides in the destination
+    address, no SRH) and two segments for SRH insertion. No other
+    behavior reads a config."""
+    sid1, sid2 = SID_PLAN
+    return {
+        BehaviorId.H_INSERT: BehaviorConfig(segments=(sid1, sid2)),
+        BehaviorId.H_ENCAPS: BehaviorConfig(segments=(sid1,)),
+        BehaviorId.H_ENCAPS_L2: BehaviorConfig(segments=(sid1,)),
+    }
+
+
+_PLAN_CONFIGS = default_behavior_configs()
 
 FIB_LOOKUP = "fib-lookup"
 XCONNECT = "xconnect"
@@ -587,7 +612,7 @@ def _encap(
         # single-segment policy: the segment rides in the destination
         # address, no SRH is added
         outer = IPv6Header(
-            next_header=inner_nh, src=cfg.tunnel_src, dst=segments[0].value
+            next_header=inner_nh, src=OUTER_SRC6, dst=segments[0].value
         )
         return PacketTemplate((eth, outer) + inner)
     srh = SegmentRoutingHeader(
@@ -595,7 +620,7 @@ def _encap(
     )
     outer = IPv6Header(
         next_header=NEXT_HEADER_ROUTING,
-        src=cfg.tunnel_src,
+        src=OUTER_SRC6,
         dst=srh.active_sid.value,
     )
     return PacketTemplate((eth, outer, srh) + inner)
@@ -636,19 +661,21 @@ def _plain_forward(template: PacketTemplate, kind: InnerKind) -> PacketTemplate:
 
 _B = BehaviorId
 _K = InnerKind
+_P = ADDRESS_PLAN
 
-# behavior -> (transform, forwarding action kind, BehaviorConfig field that
-# names the action target or "main" for the main table). A behavior's
-# semantics are implemented exactly when it is listed here.
+# behavior -> (transform, forwarding action kind, action target: "main" for
+# the main table, else the address plan's table, next hop or out
+# interface). A behavior's semantics are implemented exactly when it is
+# listed here.
 _SEMANTICS = {
     _B.END: (lambda t, cfg: _advance(t), FIB_LOOKUP, "main"),
-    _B.END_T: (lambda t, cfg: _advance(t), FIB_LOOKUP, "table"),
-    _B.END_X: (lambda t, cfg: _advance(t), XCONNECT, "adjacency"),
-    _B.END_DT6: (lambda t, cfg: _decap(t, _K.IPV6), FIB_LOOKUP, "table"),
-    _B.END_DT4: (lambda t, cfg: _decap(t, _K.IPV4), FIB_LOOKUP, "table"),
-    _B.END_DX6: (lambda t, cfg: _decap(t, _K.IPV6), XCONNECT, "interface"),
-    _B.END_DX4: (lambda t, cfg: _decap(t, _K.IPV4), XCONNECT, "interface"),
-    _B.END_DX2: (lambda t, cfg: _decap(t, _K.ETHERNET), XCONNECT, "interface"),
+    _B.END_T: (lambda t, cfg: _advance(t), FIB_LOOKUP, _P["table"]),
+    _B.END_X: (lambda t, cfg: _advance(t), XCONNECT, _P["nexthop6"]),
+    _B.END_DT6: (lambda t, cfg: _decap(t, _K.IPV6), FIB_LOOKUP, _P["table"]),
+    _B.END_DT4: (lambda t, cfg: _decap(t, _K.IPV4), FIB_LOOKUP, _P["table"]),
+    _B.END_DX6: (lambda t, cfg: _decap(t, _K.IPV6), XCONNECT, _P["iface_out"]),
+    _B.END_DX4: (lambda t, cfg: _decap(t, _K.IPV4), XCONNECT, _P["iface_out"]),
+    _B.END_DX2: (lambda t, cfg: _decap(t, _K.ETHERNET), XCONNECT, _P["iface_out"]),
     _B.H_INSERT: (_insert, FIB_LOOKUP, "main"),
     _B.H_ENCAPS: (lambda t, cfg: _encap(t, cfg, l2=False), FIB_LOOKUP, "main"),
     _B.H_ENCAPS_L2: (lambda t, cfg: _encap(t, cfg, l2=True), FIB_LOOKUP, "main"),
@@ -662,7 +689,8 @@ def apply_behavior(
     template: PacketTemplate,
     cfg: Optional[BehaviorConfig] = None,
 ) -> tuple[PacketTemplate, ForwardAction]:
-    """Apply one forwarding behavior to a packet.
+    """Apply one forwarding behavior to a packet, on cfg or, without one,
+    on the address plan's config for the behavior.
 
     Returns the transformed packet and the forwarding decision that a
     real dataplane would take afterwards.
@@ -672,9 +700,8 @@ def apply_behavior(
         transform, kind, target = _SEMANTICS[spec.id]
     except KeyError:
         raise Srv6BenchError(f"{spec.id} semantics are not implemented") from None
-    cfg = cfg or DEFAULT_BEHAVIOR_CONFIG
-    if target != "main":
-        target = getattr(cfg, target)
+    if cfg is None:  # None for an endpoint behavior: only headend transforms read cfg
+        cfg = _PLAN_CONFIGS.get(spec.id)
     return transform(template, cfg), ForwardAction(kind, target)
 
 

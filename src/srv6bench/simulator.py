@@ -36,6 +36,7 @@ class ForwarderModel:
     capacity_pps maps each behavior to its saturation rate. Noise, when
     enabled, perturbs the received packet count multiplicatively with a
     seeded PRNG; results are deterministic for identical inputs.
+    behavior_config overrides the address plan's config of a behavior.
     """
 
     capacity_pps: Mapping[BehaviorId, float]

@@ -165,6 +165,9 @@ class TestRun:
         experiment = (SHIPPED / "experiment.sim.yaml").read_text()
         assert "experiment_type: pdr\n" in experiment
         exp = tmp_path / "e.yaml"
+        assert "  loss_threshold: 0.005\n" in experiment
+        # NDR takes no loss threshold
+        experiment = experiment.replace("  loss_threshold: 0.005\n", "")
         exp.write_text(experiment.replace("experiment_type: pdr\n", "experiment_type: ndr\n"))
         assert run_cmd(exp, SHIPPED / "testbed.sim.yaml", tmp_path / "o") == EXIT_OK
         text = capsys.readouterr().out
@@ -291,6 +294,11 @@ class TestRun:
             pytest.param(
                 "search: {accuracy_percent: 99}\n", TESTBED,
                 "experiment.search.accuracy_percent", id="accuracy_percent-wider-than-window",
+            ),
+            pytest.param(
+                "experiment_type: ndr\nsearch: {loss_threshold: 0.01}\n", TESTBED,
+                "experiment.search.loss_threshold: must be 0 or absent for experiment_type ndr",
+                id="ndr-loss_threshold",
             ),
             pytest.param(
                 "packet: {inner_kind: ipv4}\n", TESTBED,

@@ -23,13 +23,14 @@ from srv6bench.orchestrator import (
     _load_yaml,
     _make_driver,
     default_behavior_configs,
+    packet_for,
     parse_experiment_config,
     parse_testbed_config,
     recipe_for,
     resolve,
     run_campaign,
 )
-from srv6bench.packet import BehaviorConfig, Sid
+from srv6bench.packet import BehaviorConfig, Sid, apply_behavior
 from srv6bench.ratemath import LinkSpec, TrialSample
 from srv6bench.simulator import ForwarderModel, SimDriver
 from conftest import SHIPPED
@@ -114,11 +115,9 @@ class TestExperimentParsing:
             parse_experiment_config("behaviors: [End]\nalgorithm: ternary\n")
 
     def test_ndr_zeroes_the_loss_threshold(self):
-        cfg = parse_experiment_config(
-            "behaviors: [End]\nexperiment_type: ndr\n"
-            "search: {loss_threshold: 0.005}\n"
-        )
-        assert cfg.search.loss_threshold == 0.0
+        for search in ("", "search: {loss_threshold: 0}\n"):
+            cfg = parse_experiment_config("behaviors: [End]\nexperiment_type: ndr\n" + search)
+            assert cfg.search.loss_threshold == 0.0
 
     def test_bad_search_value(self):
         with pytest.raises(ConfigError):
@@ -287,6 +286,40 @@ def test_any_scalar_yields_a_config_or_a_config_error(parse, base, paths, data):
             assert type(value) is int or (value is None and kind != int)
 
 
+# Any YAML shape, at every known key or as the whole document: nested
+# lists and maps whose keys need not be strings.
+YAML_KEYS = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none(), st.floats())
+YAML_SHAPES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(YAML_KEYS, inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("parse, base, paths", DOCUMENTS, ids=["experiment", "sim", "linux"])
+@given(data=st.data())
+def test_any_shape_yields_a_config_or_a_config_error(parse, base, paths, data):
+    if data.draw(st.booleans()):
+        doc = data.draw(YAML_SHAPES)
+    else:
+        doc = copy.deepcopy(base)
+        known = {path[:n] for path in paths for n in range(1, len(path) + 1)}
+        known |= {(key,) for key in base}
+        for path in data.draw(st.lists(st.sampled_from(sorted(known)), min_size=1, unique=True)):
+            node = doc
+            for key in path[:-1]:
+                if not isinstance(node.get(key), dict):
+                    node[key] = {}
+                node = node[key]
+            node[path[-1]] = data.draw(YAML_SHAPES)
+    try:
+        parse(yaml.safe_dump(doc, sort_keys=False))
+    except ConfigError:
+        pass
+
+
 class TestRecipes:
     def test_end_linux_installs_exactly_two_routes(self):
         recipe = recipe_for(BehaviorId.END, "linux")
@@ -360,8 +393,8 @@ class TestResolve:
 
 
 def test_default_behavior_configs_cover_all_measured():
-    # Only headend policies differ from BehaviorConfig(); every other
-    # measured behavior runs on the base config, which is the address plan.
+    # Only headend policies carry a SID list, and every measured behavior
+    # forwards to its address plan entry.
     from srv6bench.catalog import Category, catalog
 
     configs = default_behavior_configs()
@@ -369,21 +402,14 @@ def test_default_behavior_configs_cover_all_measured():
     assert configs[BehaviorId.H_INSERT] == BehaviorConfig(segments=(sid1, sid2))
     for bid in (BehaviorId.H_ENCAPS, BehaviorId.H_ENCAPS_L2):
         assert configs[bid] == BehaviorConfig(segments=(sid1,))
+    plan_entry = {"End.T": "table", "End.DT4": "table", "End.DT6": "table", "End.X": "nexthop6",
+                  "End.DX2": "iface_out", "End.DX4": "iface_out", "End.DX6": "iface_out"}
     for spec in catalog():
         if spec.measured:
-            effective = configs.get(spec.id, BehaviorConfig())
-            assert effective.table == ADDRESS_PLAN["table"]
-            assert effective.adjacency == ADDRESS_PLAN["nexthop6"]
-            assert effective.interface == ADDRESS_PLAN["iface_out"]
-            assert bool(effective.segments) == (spec.category is Category.HEADEND)
-
-
-def test_base_behavior_config_is_the_address_plan():
-    # default_behavior_configs leaves non-headend behaviors on this base
-    base = BehaviorConfig()
-    assert base.table == ADDRESS_PLAN["table"]
-    assert base.adjacency == ADDRESS_PLAN["nexthop6"]
-    assert base.interface == ADDRESS_PLAN["iface_out"]
+            assert (spec.id in configs) == (spec.category is Category.HEADEND)
+            _, action = apply_behavior(spec.id, packet_for(spec.id), configs.get(spec.id))
+            key = plan_entry.get(spec.id.value)
+            assert action.target == (ADDRESS_PLAN[key] if key else "main")
 
 
 class TestCampaign:

@@ -15,12 +15,15 @@ from hypothesis import given, strategies as st
 from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
 from srv6bench.errors import Srv6BenchError
 from srv6bench.packet import (
+    ADDRESS_PLAN,
     BehaviorConfig,
     Ethernet,
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
     IPv4Header,
     IPv6Header,
+    INNER_DST4,
+    INNER_DST6,
     NEXT_HEADER_IPV6,
     NEXT_HEADER_NONE,
     NEXT_HEADER_ROUTING,
@@ -243,10 +246,10 @@ class TestEndpointTransforms:
             apply_behavior(BehaviorId.END, dt6_template)
 
     def test_end_x_uses_adjacency(self, end_template):
-        cfg = BehaviorConfig(adjacency="2001:db8::9")
-        _, action = apply_behavior(BehaviorId.END_X, end_template, cfg)
+        # the adjacency is the address plan's next hop
+        _, action = apply_behavior(BehaviorId.END_X, end_template)
         assert action.kind == "xconnect"
-        assert action.target == "2001:db8::9"
+        assert action.target == ADDRESS_PLAN["nexthop6"] == "2001:db8:0:2::2"
 
     def test_dt6_strips_encapsulation(self, dt6_template):
         out, action = apply_behavior(BehaviorId.END_DT6, dt6_template)
@@ -431,3 +434,12 @@ def test_header_fields_are_range_checked(header, ethertype, field, top):
     for bad in (-1, top + 1):
         with pytest.raises(ValueError, match=field):
             header(NEXT_HEADER_NONE, **{field: bad})
+
+
+def test_inner_destinations_lie_in_the_routed_prefixes():
+    # the recipes route the plan's inner prefixes: the test traffic must
+    # be addressed inside them
+    prefix6 = ipaddress.IPv6Network(ADDRESS_PLAN["inner_prefix6"])
+    prefix4 = ipaddress.IPv4Network(ADDRESS_PLAN["inner_prefix4"])
+    assert ipaddress.IPv6Address(INNER_DST6) in prefix6
+    assert ipaddress.IPv4Address(INNER_DST4) in prefix4

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
 from srv6bench.errors import Srv6BenchError
-from srv6bench.orchestrator import default_behavior_configs
+from srv6bench.orchestrator import default_behavior_configs, packet_for
 from srv6bench.packet import (
+    BehaviorConfig,
     ETHERNET_LEN,
     IPV4_HEADER_LEN,
     IPV6_HEADER_LEN,
@@ -208,11 +209,14 @@ class TestModelValidation:
 
 
 def test_headend_behavior_needs_config(end_template):
-    """Without a SID list the headend transform cannot run; the sim
-    surfaces this as a requirement violation, not silence."""
+    """A config without a SID list overrides the address plan's, and the
+    headend transform cannot run on it; the sim surfaces this as a
+    requirement violation, not silence."""
     req = traffic_requirement(BehaviorId.H_ENCAPS)
     t = build_test_packet(req, [])
-    m = ForwarderModel({BehaviorId.H_ENCAPS: 1e6})
+    m = ForwarderModel(
+        {BehaviorId.H_ENCAPS: 1e6}, behavior_config={BehaviorId.H_ENCAPS: BehaviorConfig()}
+    )
     with pytest.raises(Srv6BenchError, match="^headend behavior needs a SID list$"):
         SimDriver(m, BehaviorId.H_ENCAPS, t).run_trial(1_000_000, 1.0)
 
@@ -244,5 +248,15 @@ def test_every_measured_template_and_its_forward_round_trip(data):
 
     m = ForwarderModel({behavior: 1e6}, behavior_config=configs)
     sample = SimDriver(m, behavior, template).run_trial(500_000, 1.0)
+    assert sample.tx_packets == 500_000
+    assert sample.rx_packets == round(500_000 * delivery_model(m, behavior, 500_000))
+
+
+@pytest.mark.parametrize("behavior", MEASURED, ids=str)
+def test_a_bare_model_drives_every_measured_behavior(behavior):
+    """A model with no behavior_config runs each behavior on the address
+    plan, the headend behaviors on its SID list."""
+    m = ForwarderModel({behavior: 1e6})
+    sample = SimDriver(m, behavior, packet_for(behavior)).run_trial(500_000, 1.0)
     assert sample.tx_packets == 500_000
     assert sample.rx_packets == round(500_000 * delivery_model(m, behavior, 500_000))
