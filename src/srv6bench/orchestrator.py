@@ -3,9 +3,10 @@ resolution, driver/executor wiring and result assembly.
 
 Two YAML documents drive a campaign. The experiment file selects the
 behaviors, the search algorithm and its parameters; the testbed file
-describes the forwarder (a simulated model, or a remote Linux/VPP box
-reached over SSH). Forwarder configuration commands live in recipe
-templates as data, rendered against the fixed address plan of `packet`.
+describes the forwarder: a simulated model, or a Linux/VPP forwarder
+configured through the executor a campaign is given. Forwarder
+configuration commands live in recipe templates as data, rendered against
+the fixed address plan of `packet`.
 """
 
 from __future__ import annotations
@@ -221,24 +222,9 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SshConnection:
-    host: str
-    port: int = 22
-    user: str = "root"
-    key_file: Optional[str] = None
-
-    def __post_init__(self):
-        if not self.host:
-            raise ValueError("host must not be empty")
-        if not 0 < self.port < 65536:
-            raise ValueError("port must be in 1-65535")
-
-
-@dataclass(frozen=True)
 class TestbedConfig:
     forwarder_kind: str
     link: LinkSpec
-    connection: Optional[SshConnection] = None
     model: Optional[ForwarderModel] = None
 
 
@@ -346,12 +332,14 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 def parse_testbed_config(text: str) -> TestbedConfig:
     doc = _load_yaml(text, "testbed")
-    _reject_unknown(doc, ["forwarder", "link", "connection", "model"], "testbed")
     kind = doc.get("forwarder")
     if kind not in FORWARDER_KINDS:
         raise ConfigError(
             f"testbed.forwarder: must be one of {', '.join(FORWARDER_KINDS)}"
         )
+    # a remote forwarder is reached through the executor a campaign is given
+    sections = ["forwarder", "link", "model"] if kind == "sim" else ["forwarder", "link"]
+    _reject_unknown(doc, sections, "testbed")
     link_doc = _require_mapping(doc.get("link", {}), "testbed.link")
     _reject_unknown(link_doc, ["bit_rate_bps"], "testbed.link")
     bit_rate = _read(link_doc.get("bit_rate_bps", 10e9), float, "testbed.link.bit_rate_bps")
@@ -361,10 +349,7 @@ def parse_testbed_config(text: str) -> TestbedConfig:
         raise ConfigError(f"testbed.link.bit_rate_bps: {exc}") from exc
 
     if kind != "sim":
-        if doc.get("connection") is None:
-            raise ConfigError("testbed.connection: required for remote forwarders")
-        connection = _build(SshConnection, doc["connection"], "testbed.connection")
-        return TestbedConfig(forwarder_kind=kind, link=link, connection=connection)
+        return TestbedConfig(forwarder_kind=kind, link=link)
 
     if doc.get("model") is None:
         raise ConfigError("testbed.model: required for the sim forwarder")

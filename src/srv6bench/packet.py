@@ -2,7 +2,8 @@
 
 A PacketTemplate is an ordered stack of layers, outermost first:
 Ethernet, IPv6, segment routing header, IPv4, inner Ethernet, payload.
-encode/decode are exact inverses on well-formed templates.
+encode refuses a stack that decode could not give back, so decode inverts
+every packet encode gives.
 
 Segment lists are stored in reverse path order: segments[0] is the final
 segment and Segments Left indexes the currently active one. Advancing to
@@ -185,6 +186,18 @@ _LAYER_LEN = {
 }
 
 
+# next header -> the layer it announces; every other next header, and an
+# IPv4 header, announces a payload or nothing
+_NEXT_LAYER = {
+    NEXT_HEADER_ROUTING: SegmentRoutingHeader,
+    NEXT_HEADER_IPV6: IPv6Header,
+    NEXT_HEADER_IPV4: IPv4Header,
+    NEXT_HEADER_ETHERNET: Ethernet,
+}
+# ethertype -> the layer it announces, likewise
+_ETHERTYPE_LAYER = {ETHERTYPE_IPV6: IPv6Header, ETHERTYPE_IPV4: IPv4Header}
+
+
 def _layer_len(layer: Layer) -> int:
     if isinstance(layer, SegmentRoutingHeader):
         return SRH_FIXED_LEN + SID_LEN * len(layer.segments)
@@ -233,14 +246,31 @@ def _ipv4_checksum(header: bytes) -> int:
     return (~total) & 0xFFFF
 
 
+def _refuse(header: str, announced: type, after: type) -> None:
+    def name(layer: type) -> str:
+        return "a payload or nothing" if layer is Payload else layer.__name__
+
+    raise Srv6BenchError(
+        f"{header} is followed by {name(after)}: decode would read {name(announced)}"
+    )
+
+
 def encode(template: PacketTemplate) -> bytes:
     """Serialize a template to wire bytes. Length and checksum fields are
-    computed here, never stored on the template."""
+    computed here, never stored on the template. A layer other than the
+    one its header's next header or ethertype announces, or an empty
+    payload, is refused: decode would give back a different template."""
     body = b""
+    after = Payload  # the class of the layer inside this one; Payload for none
     for layer in reversed(template.layers):
         if isinstance(layer, Payload):
+            if not layer.data:
+                raise Srv6BenchError("empty payload: decode gives back no payload layer")
             body = layer.data + body
         elif isinstance(layer, SegmentRoutingHeader):
+            announced = _NEXT_LAYER.get(layer.next_header, Payload)
+            if announced is not after:
+                _refuse(f"SegmentRoutingHeader next header {layer.next_header}", announced, after)
             hdr = bytes(
                 [
                     layer.next_header,
@@ -254,6 +284,9 @@ def encode(template: PacketTemplate) -> bytes:
             hdr += b"".join(sid.value for sid in layer.segments)
             body = hdr + body
         elif isinstance(layer, IPv6Header):
+            announced = _NEXT_LAYER.get(layer.next_header, Payload)
+            if announced is not after:
+                _refuse(f"IPv6Header next header {layer.next_header}", announced, after)
             if len(body) > 0xFFFF:
                 raise Srv6BenchError(f"IPv6 payload length {len(body)} exceeds 65535")
             word0 = (6 << 28) | (layer.traffic_class << 20) | layer.flow_label
@@ -266,6 +299,8 @@ def encode(template: PacketTemplate) -> bytes:
             )
             body = hdr + body
         elif isinstance(layer, IPv4Header):
+            if after is not Payload:
+                _refuse("IPv4Header", Payload, after)
             total_length = IPV4_HEADER_LEN + len(body)
             if total_length > 0xFFFF:
                 raise Srv6BenchError(f"IPv4 total length {total_length} exceeds 65535")
@@ -282,9 +317,13 @@ def encode(template: PacketTemplate) -> bytes:
             hdr[10:12] = _ipv4_checksum(bytes(hdr)).to_bytes(2, "big")
             body = bytes(hdr) + body
         elif isinstance(layer, Ethernet):
+            announced = _ETHERTYPE_LAYER.get(layer.ethertype, Payload)
+            if announced is not after:
+                _refuse(f"Ethernet ethertype 0x{layer.ethertype:04x}", announced, after)
             body = layer.dst + layer.src + layer.ethertype.to_bytes(2, "big") + body
         else:
             raise TypeError(f"unknown layer type: {type(layer).__name__}")
+        after = type(layer)
     return body
 
 
@@ -359,8 +398,7 @@ def _decode_ipv4(data: bytes) -> list[Layer]:
         tos=data[1],
         identification=int.from_bytes(data[4:6], "big"),
     )
-    payload = data[IPV4_HEADER_LEN:]
-    return [header] + ([Payload(payload)] if payload else [])
+    return [header] + _decode_payload(data[IPV4_HEADER_LEN:])
 
 
 def _decode_ethernet(data: bytes) -> list[Layer]:
@@ -371,24 +409,25 @@ def _decode_ethernet(data: bytes) -> list[Layer]:
         src=data[6:12],
         ethertype=int.from_bytes(data[12:14], "big"),
     )
-    rest = data[ETHERNET_LEN:]
-    if eth.ethertype == ETHERTYPE_IPV6:
-        return [eth] + _decode_ipv6(rest)
-    if eth.ethertype == ETHERTYPE_IPV4:
-        return [eth] + _decode_ipv4(rest)
-    return [eth] + ([Payload(rest)] if rest else [])
+    layer = _ETHERTYPE_LAYER.get(eth.ethertype, Payload)
+    return [eth] + _DECODERS[layer](data[ETHERNET_LEN:])
+
+
+def _decode_payload(data: bytes) -> list[Layer]:
+    return [Payload(data)] if data else []
 
 
 def _decode_next(next_header: int, data: bytes) -> list[Layer]:
-    if next_header == NEXT_HEADER_ROUTING:
-        return _decode_srh(data)
-    if next_header == NEXT_HEADER_IPV6:
-        return _decode_ipv6(data)
-    if next_header == NEXT_HEADER_IPV4:
-        return _decode_ipv4(data)
-    if next_header == NEXT_HEADER_ETHERNET:
-        return _decode_ethernet(data)
-    return [Payload(data)] if data else []
+    return _DECODERS[_NEXT_LAYER.get(next_header, Payload)](data)
+
+
+_DECODERS = {
+    Ethernet: _decode_ethernet,
+    IPv6Header: _decode_ipv6,
+    SegmentRoutingHeader: _decode_srh,
+    IPv4Header: _decode_ipv4,
+    Payload: _decode_payload,
+}
 
 
 def decode(data: bytes) -> PacketTemplate:

@@ -131,12 +131,17 @@ class SimDriver:
 
     def run_trial(self, rate_pps: float, duration_s: float) -> TrialSample:
         """Offer traffic for a fixed duration and report what came back. A
-        forwarded packet that does not survive encode/decode fails the trial."""
+        forwarded packet that encode refuses or decode does not give back
+        fails the trial."""
         if rate_pps <= 0 or duration_s <= 0:
             raise ValueError("rate and duration must be positive")
         behavior = self.behavior
         forwarded, _ = apply_behavior(behavior, self.template, self._config)
-        if decode(encode(forwarded)) != forwarded:
+        try:
+            conforms = decode(encode(forwarded)) == forwarded
+        except Srv6BenchError:  # encode refuses a packet decode could not give back
+            conforms = False
+        if not conforms:
             raise Srv6BenchError(
                 f"{behavior} does not conform: its forwarded packet does not survive encode/decode"
             )

@@ -276,16 +276,8 @@ class TestRun:
                 id="capacity-bool",
             ),
             pytest.param(
-                "", "forwarder: linux\nconnection: {host: 123}\n", "testbed.connection.host",
-                id="host-int",
-            ),
-            pytest.param(
-                "", "forwarder: linux\nconnection: {host: sut, port: abc}\n",
-                "testbed.connection.port", id="port-str",
-            ),
-            pytest.param(
-                "", "forwarder: linux\nconnection: {port: 22}\n", "testbed.connection.host: required",
-                id="host-missing",
+                "", TESTBED + "connection: {bogus: 1, port: x}\n",
+                "testbed: unknown key(s) ['connection']", id="sim-connection",
             ),
             pytest.param(
                 "", TESTBED + "  capacity_pps: {End: 900000}\n",

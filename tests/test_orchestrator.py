@@ -18,7 +18,6 @@ from srv6bench.orchestrator import (
     CampaignResult,
     ExperimentConfig,
     RecordingExecutor,
-    SshConnection,
     TestbedConfig as BenchTestbedConfig,
     _load_yaml,
     _make_driver,
@@ -189,15 +188,19 @@ class TestTestbedParsing:
         with pytest.raises(ConfigError):
             parse_testbed_config("forwarder: sim\n")
 
-    def test_remote_requires_connection(self):
-        with pytest.raises(ConfigError):
-            parse_testbed_config("forwarder: linux\n")
-
-    def test_remote_connection_parsed(self):
-        tb = parse_testbed_config(
-            "forwarder: linux\nconnection: {host: sut.example, user: bench}\n"
-        )
-        assert tb.connection == SshConnection(host="sut.example", user="bench")
+    @pytest.mark.parametrize(
+        "document, key",
+        [
+            ("forwarder: sim\nmodel: {capacity_kpps: {End: 1}}\nconnection: {bogus: 1, port: x}\n",
+             "connection"),
+            ("forwarder: linux\nmodel: {capacity_pps: {End: 5}, bogus_key: 1}\n", "model"),
+            ("forwarder: vpp\nmodel: {capacity_pps: {End: 5}, bogus_key: 1}\n", "model"),
+        ],
+        ids=["sim-connection", "linux-model", "vpp-model"],
+    )
+    def test_a_section_the_forwarder_does_not_read_is_rejected(self, document, key):
+        with pytest.raises(ConfigError, match=rf"^testbed: unknown key\(s\) \['{key}'\]$"):
+            parse_testbed_config(document)
 
     def test_unknown_forwarder(self):
         with pytest.raises(ConfigError):
@@ -247,8 +250,8 @@ DOCUMENTS = [
     ),
     (
         parse_testbed_config,
-        {"forwarder": "linux", "connection": {"host": "sut"}},
-        [("connection", name) for name in ("host", "port", "user", "key_file")],
+        {"forwarder": "linux"},
+        [("link", "bit_rate_bps")],
     ),
 ]
 
@@ -471,7 +474,6 @@ class TestCampaign:
         linux = BenchTestbedConfig(
             forwarder_kind="linux",
             link=LinkSpec(line_bit_rate_bps=10e9),
-            connection=SshConnection(host="sut.example"),
         )
         recipe = recipe_for(BehaviorId.END, "linux")
         executor = FailSecondStep()
@@ -697,7 +699,7 @@ class TestCampaignSerialization:
 def test_remote_campaign_fails_every_behavior_before_any_command(kind, tmp_path):
     # no traffic generator drives a remote forwarder in this build: every
     # behavior fails before its first setup step, so the SUT gets nothing
-    testbed_yaml = f"forwarder: {kind}\nconnection: {{host: sut.example}}\n"
+    testbed_yaml = f"forwarder: {kind}\nlink: {{bit_rate_bps: 10e9}}\n"
     experiment = ExperimentConfig(behaviors=(BehaviorId.END, BehaviorId.PLAIN_IPV6), runs=1)
     executor = RecordingExecutor()
     result = run_campaign(experiment, parse_testbed_config(testbed_yaml), executor=executor)

@@ -10,7 +10,7 @@ import struct
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from srv6bench.catalog import BehaviorId, InnerKind, catalog, traffic_requirement
 from srv6bench.errors import Srv6BenchError
@@ -24,6 +24,8 @@ from srv6bench.packet import (
     IPv6Header,
     INNER_DST4,
     INNER_DST6,
+    NEXT_HEADER_ETHERNET,
+    NEXT_HEADER_IPV4,
     NEXT_HEADER_IPV6,
     NEXT_HEADER_NONE,
     NEXT_HEADER_ROUTING,
@@ -410,6 +412,78 @@ def test_arbitrary_inner_sizes_round_trip(kind, size):
     t = build_test_packet(req, [SID1, SID2])
     assert decode(encode(t)) == t
     assert t.frame_size == 14 + 40 + 40 + size
+
+
+# Hand-built stacks: next headers and ethertypes that name the layer
+# after them, or any other value
+NEXT_HEADERS = st.one_of(
+    st.sampled_from([NEXT_HEADER_ROUTING, NEXT_HEADER_IPV6, NEXT_HEADER_IPV4, NEXT_HEADER_ETHERNET]),
+    st.integers(0, 255),
+)
+ETHERTYPES = st.one_of(st.sampled_from([ETHERTYPE_IPV6, ETHERTYPE_IPV4]), st.integers(0, 0xFFFF))
+HEADERS = {
+    Ethernet: lambda draw: Ethernet(ethertype=draw(ETHERTYPES)),
+    IPv6Header: lambda draw: IPv6Header(next_header=draw(NEXT_HEADERS)),
+    SegmentRoutingHeader: lambda draw: SegmentRoutingHeader(
+        next_header=draw(NEXT_HEADERS), segments=(SID2, SID1), segments_left=draw(st.integers(0, 1))
+    ),
+    IPv4Header: lambda draw: IPv4Header(protocol=draw(NEXT_HEADERS)),
+}
+
+
+@st.composite
+def hand_built_stacks(draw):
+    """Ethernet, up to four headers in legal nesting (an SRH only right
+    after an IPv6 header), then perhaps a payload of 0-64 B."""
+    layers = [HEADERS[Ethernet](draw)]
+    for _ in range(draw(st.integers(0, 4))):
+        kinds = [k for k in HEADERS if k is not SegmentRoutingHeader or type(layers[-1]) is IPv6Header]
+        layers.append(HEADERS[draw(st.sampled_from(kinds))](draw))
+    if draw(st.booleans()):
+        layers.append(Payload(draw(st.binary(max_size=64))))
+    return PacketTemplate(tuple(layers))
+
+
+REFUSED_STACKS = [
+    pytest.param(
+        (Ethernet(), IPv6Header(next_header=NEXT_HEADER_NONE), IPv6Header(next_header=NEXT_HEADER_NONE)),
+        "IPv6Header next header 59 is followed by IPv6Header: decode would read a payload or nothing",
+        id="none-then-ipv6",
+    ),
+    pytest.param(
+        (Ethernet(), IPv6Header(next_header=NEXT_HEADER_ROUTING), Payload(bytes(40))),
+        "IPv6Header next header 43 is followed by a payload or nothing: "
+        "decode would read SegmentRoutingHeader",
+        id="routing-then-payload",
+    ),
+    pytest.param(
+        (Ethernet(ethertype=ETHERTYPE_IPV4), IPv4Header(protocol=41), IPv6Header(next_header=59)),
+        "IPv4Header is followed by IPv6Header: decode would read a payload or nothing",
+        id="ipv4-then-ipv6",
+    ),
+    pytest.param(
+        (Ethernet(ethertype=0x88B5), Payload(b"")),
+        "empty payload: decode gives back no payload layer",
+        id="empty-payload",
+    ),
+]
+
+
+@pytest.mark.parametrize("layers, message", REFUSED_STACKS)
+def test_encode_refuses_a_stack_decode_cannot_give_back(layers, message):
+    with pytest.raises(Srv6BenchError, match=f"^{message}$"):
+        encode(PacketTemplate(layers))
+
+
+@given(template=hand_built_stacks())
+@example(template=PacketTemplate(REFUSED_STACKS[0].values[0]))
+@example(template=PacketTemplate(REFUSED_STACKS[1].values[0]))
+def test_encode_refuses_or_round_trips_every_hand_built_stack(template):
+    try:
+        raw = encode(template)
+    except Srv6BenchError:
+        return
+    assert decode(raw) == template
 
 
 @pytest.mark.parametrize(
