@@ -2,8 +2,10 @@
 
 A PacketTemplate is an ordered stack of layers, outermost first:
 Ethernet, IPv6, segment routing header, IPv4, inner Ethernet, payload.
-encode refuses a stack that decode could not give back, so decode inverts
-every packet encode gives.
+Any stack can be built; encode checks the layer order, refusing a stack
+that decode could not give back. decode reads one header at a time, as
+the layer the header before it announces (an Ethernet header first), so
+it inverts every packet encode gives.
 
 Segment lists are stored in reverse path order: segments[0] is the final
 segment and Segments Left indexes the currently active one. Advancing to
@@ -212,25 +214,9 @@ class PacketTemplate:
 
     layers: tuple[Layer, ...]
 
-    def __post_init__(self):
-        _check_nesting(self.layers)
-
     @property
     def frame_size(self) -> int:
         return sum(_layer_len(layer) for layer in self.layers)
-
-
-def _check_nesting(layers: Sequence[Layer]) -> None:
-    if not layers:
-        raise ValueError("template needs at least one layer")
-    if not isinstance(layers[0], Ethernet):
-        raise ValueError("outermost layer must be Ethernet")
-    for i, layer in enumerate(layers):
-        if isinstance(layer, SegmentRoutingHeader):
-            if i == 0 or not isinstance(layers[i - 1], IPv6Header):
-                raise ValueError("SRH must directly follow an IPv6 header")
-        if isinstance(layer, Payload) and i != len(layers) - 1:
-            raise ValueError("payload must be the innermost layer")
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +243,20 @@ def _refuse(header: str, announced: type, after: type) -> None:
 
 def encode(template: PacketTemplate) -> bytes:
     """Serialize a template to wire bytes. Length and checksum fields are
-    computed here, never stored on the template. A layer other than the
-    one its header's next header or ethertype announces, or an empty
-    payload, is refused: decode would give back a different template."""
+    computed here, never stored on the template. A stack that does not
+    start with Ethernet, a layer other than the one its header's next
+    header or ethertype announces, or a payload that is empty or not the
+    innermost layer is refused: decode would give back a different
+    template."""
     body = b""
     after = Payload  # the class of the layer inside this one; Payload for none
     for layer in reversed(template.layers):
         if isinstance(layer, Payload):
+            if body:
+                raise Srv6BenchError("payload must be the innermost layer")
             if not layer.data:
                 raise Srv6BenchError("empty payload: decode gives back no payload layer")
-            body = layer.data + body
+            body = layer.data
         elif isinstance(layer, SegmentRoutingHeader):
             announced = _NEXT_LAYER.get(layer.next_header, Payload)
             if announced is not after:
@@ -324,10 +314,12 @@ def encode(template: PacketTemplate) -> bytes:
         else:
             raise TypeError(f"unknown layer type: {type(layer).__name__}")
         after = type(layer)
+    if after is not Ethernet:
+        raise Srv6BenchError("outermost layer must be Ethernet")
     return body
 
 
-def _decode_ipv6(data: bytes) -> list[Layer]:
+def _decode_ipv6(data: bytes) -> tuple[Layer, bytes, type]:
     if len(data) < IPV6_HEADER_LEN:
         raise Srv6BenchError("truncated IPv6 header")
     word0 = int.from_bytes(data[0:4], "big")
@@ -346,10 +338,10 @@ def _decode_ipv6(data: bytes) -> list[Layer]:
         flow_label=word0 & 0xFFFFF,
         hop_limit=data[7],
     )
-    return [header] + _decode_next(next_header, rest)
+    return header, rest, _NEXT_LAYER.get(next_header, Payload)
 
 
-def _decode_srh(data: bytes) -> list[Layer]:
+def _decode_srh(data: bytes) -> tuple[Layer, bytes, type]:
     if len(data) < SRH_FIXED_LEN:
         raise Srv6BenchError("truncated routing header")
     next_header, hdr_ext_len, routing_type, segments_left, last_entry, flags = data[:6]
@@ -377,10 +369,10 @@ def _decode_srh(data: bytes) -> list[Layer]:
         flags=flags,
         tag=tag,
     )
-    return [srh] + _decode_next(next_header, data[total:])
+    return srh, data[total:], _NEXT_LAYER.get(next_header, Payload)
 
 
-def _decode_ipv4(data: bytes) -> list[Layer]:
+def _decode_ipv4(data: bytes) -> tuple[Layer, bytes, type]:
     if len(data) < IPV4_HEADER_LEN:
         raise Srv6BenchError("truncated IPv4 header")
     if data[0] != ((4 << 4) | 5):
@@ -388,7 +380,11 @@ def _decode_ipv4(data: bytes) -> list[Layer]:
     total_length = int.from_bytes(data[2:4], "big")
     if total_length != len(data):
         raise Srv6BenchError("IPv4 total length does not match frame")
-    if _ipv4_checksum(data[:IPV4_HEADER_LEN]) != 0:
+    if data[6:8] != b"\x00\x00":
+        raise Srv6BenchError("unsupported IPv4 flags/fragment offset")
+    # exactly the checksum encode writes: a stored 0xFFFF can also sum
+    # right, where encode writes 0
+    if _ipv4_checksum(data[:10] + data[12:IPV4_HEADER_LEN]) != int.from_bytes(data[10:12], "big"):
         raise Srv6BenchError("bad IPv4 header checksum")
     header = IPv4Header(
         protocol=data[9],
@@ -398,10 +394,10 @@ def _decode_ipv4(data: bytes) -> list[Layer]:
         tos=data[1],
         identification=int.from_bytes(data[4:6], "big"),
     )
-    return [header] + _decode_payload(data[IPV4_HEADER_LEN:])
+    return header, data[IPV4_HEADER_LEN:], Payload
 
 
-def _decode_ethernet(data: bytes) -> list[Layer]:
+def _decode_ethernet(data: bytes) -> tuple[Layer, bytes, type]:
     if len(data) < ETHERNET_LEN:
         raise Srv6BenchError("truncated Ethernet header")
     eth = Ethernet(
@@ -409,30 +405,30 @@ def _decode_ethernet(data: bytes) -> list[Layer]:
         src=data[6:12],
         ethertype=int.from_bytes(data[12:14], "big"),
     )
-    layer = _ETHERTYPE_LAYER.get(eth.ethertype, Payload)
-    return [eth] + _DECODERS[layer](data[ETHERNET_LEN:])
+    return eth, data[ETHERNET_LEN:], _ETHERTYPE_LAYER.get(eth.ethertype, Payload)
 
 
-def _decode_payload(data: bytes) -> list[Layer]:
-    return [Payload(data)] if data else []
-
-
-def _decode_next(next_header: int, data: bytes) -> list[Layer]:
-    return _DECODERS[_NEXT_LAYER.get(next_header, Payload)](data)
-
-
+# layer -> its decoder: (the layer, the bytes after it, the class of the
+# layer its next header or ethertype announces)
 _DECODERS = {
     Ethernet: _decode_ethernet,
     IPv6Header: _decode_ipv6,
     SegmentRoutingHeader: _decode_srh,
     IPv4Header: _decode_ipv4,
-    Payload: _decode_payload,
 }
 
 
 def decode(data: bytes) -> PacketTemplate:
-    """Parse wire bytes back into a template. Inverse of encode."""
-    return PacketTemplate(tuple(_decode_ethernet(data)))
+    """Parse wire bytes back into a template, one header at a time, each
+    read as the layer the header before it announces. Inverse of encode."""
+    layers = []
+    announced = Ethernet
+    while announced is not Payload:
+        layer, data, announced = _DECODERS[announced](data)
+        layers.append(layer)
+    if data:
+        layers.append(Payload(data))
+    return PacketTemplate(tuple(layers))
 
 
 def hexdump(template: PacketTemplate) -> str:

@@ -46,15 +46,27 @@ def dt6_template():
     return build_test_packet(req, [SID1, SID2])
 
 
+def _patch_end(monkeypatch, rewrite):
+    """Patch End's transform to pass its forwarded layers through rewrite."""
+    transform, kind, target = packet._SEMANTICS[BehaviorId.END]
+
+    def patched(template, cfg):
+        return PacketTemplate(rewrite(*transform(template, cfg).layers))
+
+    monkeypatch.setitem(packet._SEMANTICS, BehaviorId.END, (patched, kind, target))
+
+
 @pytest.fixture
 def nonconforming_end(monkeypatch):
     """End's transform patched to write an outer next header of "none" in
     front of the SRH: the forwarded packet decodes with the SRH as a
     payload, so it does not survive encode/decode."""
-    transform, kind, target = packet._SEMANTICS[BehaviorId.END]
+    _patch_end(monkeypatch, lambda eth, outer, *rest: (eth, replace(outer, next_header=NEXT_HEADER_NONE), *rest))
 
-    def nonconforming(template, cfg):
-        eth, outer, *rest = transform(template, cfg).layers
-        return PacketTemplate((eth, replace(outer, next_header=NEXT_HEADER_NONE), *rest))
 
-    monkeypatch.setitem(packet._SEMANTICS, BehaviorId.END, (nonconforming, kind, target))
+@pytest.fixture
+def misnested_end(monkeypatch):
+    """End's transform patched to put the payload ahead of the inner IPv6
+    header: encode refuses the forwarded packet, so it does not survive
+    encode/decode."""
+    _patch_end(monkeypatch, lambda *layers: (*layers[:-2], layers[-1], layers[-2]))

@@ -137,15 +137,16 @@ class TestRun:
         )
         assert executor.commands == []
 
-    def test_non_conforming_behavior_is_an_error_not_a_pdr(self, tmp_path, capsys, request):
+    @pytest.mark.parametrize("patch", ["nonconforming_end", "misnested_end"])
+    def test_non_conforming_behavior_is_an_error_not_a_pdr(self, patch, tmp_path, capsys, request):
         # End must report an error while the other behaviors' results do
-        # not change
+        # not change, also when encode refuses its forwarded packet
         def rows(out):
             return json.loads((out / "campaign.json").read_text())["behaviors"]
 
         args = SHIPPED / "experiment.sim.yaml", SHIPPED / "testbed.sim.yaml"
         assert run_cmd(*args, tmp_path / "good") == EXIT_OK
-        request.getfixturevalue("nonconforming_end")
+        request.getfixturevalue(patch)
         capsys.readouterr()
         assert run_cmd(*args, tmp_path / "bad") == EXIT_PARTIAL
         assert "End: ERROR: search aborted at " in capsys.readouterr().out

@@ -24,6 +24,8 @@ from srv6bench.packet import (
     IPv6Header,
     INNER_DST4,
     INNER_DST6,
+    INNER_SRC4,
+    INNER_SRC6,
     NEXT_HEADER_ETHERNET,
     NEXT_HEADER_IPV4,
     NEXT_HEADER_IPV6,
@@ -33,6 +35,8 @@ from srv6bench.packet import (
     Payload,
     SegmentRoutingHeader,
     Sid,
+    SUT_MAC,
+    TESTER_MAC,
     apply_behavior,
     build_test_packet,
     decode,
@@ -385,21 +389,6 @@ def test_encaps_then_decap_restores_inner_bytes():
     assert encode(decapped)[14:] == inner_before
 
 
-def test_nesting_rules():
-    with pytest.raises(ValueError):
-        PacketTemplate((IPv6Header(next_header=59),))  # no Ethernet outermost
-    with pytest.raises(ValueError):
-        # SRH must follow an IPv6 header directly
-        PacketTemplate(
-            (
-                Ethernet(),
-                SegmentRoutingHeader(
-                    next_header=59, segments=(SID1,), segments_left=0
-                ),
-            )
-        )
-
-
 @given(
     kind=st.sampled_from(list(InnerKind)),
     size=st.integers(min_value=64, max_value=512),
@@ -433,14 +422,15 @@ HEADERS = {
 
 @st.composite
 def hand_built_stacks(draw):
-    """Ethernet, up to four headers in legal nesting (an SRH only right
-    after an IPv6 header), then perhaps a payload of 0-64 B."""
-    layers = [HEADERS[Ethernet](draw)]
-    for _ in range(draw(st.integers(0, 4))):
-        kinds = [k for k in HEADERS if k is not SegmentRoutingHeader or type(layers[-1]) is IPv6Header]
-        layers.append(HEADERS[draw(st.sampled_from(kinds))](draw))
-    if draw(st.booleans()):
-        layers.append(Payload(draw(st.binary(max_size=64))))
+    """Up to six layers in any order: an Ethernet header first about half
+    the time, otherwise any layer or none, then headers and payloads of
+    0-64 B in any nesting (an SRH anywhere, a payload mid-stack)."""
+    kinds = st.sampled_from([*HEADERS, Payload])
+    layers = []
+    for kind in [draw(st.just(Ethernet) | kinds)] + draw(st.lists(kinds, max_size=5)):
+        layers.append(Payload(draw(st.binary(max_size=64))) if kind is Payload else HEADERS[kind](draw))
+    if not draw(st.integers(0, 7)):
+        layers = []
     return PacketTemplate(tuple(layers))
 
 
@@ -466,13 +456,30 @@ REFUSED_STACKS = [
         "empty payload: decode gives back no payload layer",
         id="empty-payload",
     ),
+    pytest.param(
+        (IPv6Header(next_header=NEXT_HEADER_NONE),),
+        "outermost layer must be Ethernet",
+        id="no-ethernet",
+    ),
+    pytest.param((), "outermost layer must be Ethernet", id="empty-stack"),
+    pytest.param(
+        (Ethernet(), SegmentRoutingHeader(next_header=NEXT_HEADER_NONE, segments=(SID1,), segments_left=0)),
+        "Ethernet ethertype 0x86dd is followed by SegmentRoutingHeader: decode would read IPv6Header",
+        id="srh-after-ethernet",
+    ),
+    pytest.param(
+        (Ethernet(), IPv6Header(next_header=NEXT_HEADER_IPV6), Payload(bytes(24)), IPv6Header(next_header=NEXT_HEADER_NONE)),
+        "payload must be the innermost layer",
+        id="payload-ahead-of-header",
+    ),
 ]
 
 
 @pytest.mark.parametrize("layers, message", REFUSED_STACKS)
 def test_encode_refuses_a_stack_decode_cannot_give_back(layers, message):
+    template = PacketTemplate(layers)  # any stack can be built
     with pytest.raises(Srv6BenchError, match=f"^{message}$"):
-        encode(PacketTemplate(layers))
+        encode(template)
 
 
 @given(template=hand_built_stacks())
@@ -484,6 +491,109 @@ def test_encode_refuses_or_round_trips_every_hand_built_stack(template):
     except Srv6BenchError:
         return
     assert decode(raw) == template
+
+
+def test_a_deep_stack_round_trips():
+    # decode walks the frame in a loop, so 1,600 nested IPv6 headers (a
+    # 64,014-byte frame) are read without recursing once per header
+    chain = (IPv6Header(next_header=NEXT_HEADER_IPV6),) * 1599
+    t = PacketTemplate((Ethernet(), *chain, IPv6Header(next_header=NEXT_HEADER_NONE)))
+    raw = encode(t)
+    assert len(raw) == 64_014
+    assert decode(raw) == t
+
+
+# Wire headers written from the field layouts, around the bytes they
+# carry; a length, count or checksum left as None is the right one
+def wire_ethernet(ethertype, body):
+    return SUT_MAC + TESTER_MAC + ethertype.to_bytes(2, "big") + body
+
+
+def wire_ipv6(next_header, body, length=None):
+    length = len(body) if length is None else length
+    return struct.pack("!IHBB", 6 << 28, length, next_header, 64) + INNER_SRC6 + INNER_DST6 + body
+
+
+def wire_srh(next_header, body, sids=(SID1,), segments_left=0, hdr_ext_len=None, last_entry=None):
+    hdr_ext_len = 2 * len(sids) if hdr_ext_len is None else hdr_ext_len
+    last_entry = len(sids) - 1 if last_entry is None else last_entry
+    fixed = bytes([next_header, hdr_ext_len, 4, segments_left, last_entry, 0, 0, 0])
+    return fixed + b"".join(sid.value for sid in sids) + body
+
+
+def wire_ipv4(protocol, body, length=None, flags_fragment=0, identification=0, checksum=None):
+    length = 20 + len(body) if length is None else length
+    fields = 0x45, 0, length, identification, flags_fragment, 64, protocol, 0, INNER_SRC4, INNER_DST4
+    header = struct.pack("!BBHHHBBH4s4s", *fields)
+    checksum = ipv4_checksum_oracle(header) if checksum is None else checksum
+    return header[:10] + checksum.to_bytes(2, "big") + header[12:] + body
+
+
+# an SRH whose next header 43 announces a second SRH, and 1,600 nested
+# IPv6 headers
+SRH_AFTER_SRH = wire_ethernet(ETHERTYPE_IPV6, wire_ipv6(43, wire_srh(43, wire_srh(59, b""))))
+DEEP_FRAME = b""
+for _ in range(1600):
+    DEEP_FRAME = wire_ipv6(NEXT_HEADER_IPV6 if DEEP_FRAME else NEXT_HEADER_NONE, DEEP_FRAME)
+DEEP_FRAME = wire_ethernet(ETHERTYPE_IPV6, DEEP_FRAME)
+# identification 0x63ac makes the other words sum to 0xFFFF, so a stored
+# checksum of 0xFFFF also sums right, where encode writes 0
+IPV4_CHECKSUM_FFFF = wire_ethernet(ETHERTYPE_IPV4, wire_ipv4(61, b"", identification=0x63AC, checksum=0xFFFF))
+
+# the next header and ethertype that announce each wire header; 0x88b5
+# (local experimental) announces a payload
+ANNOUNCE = {
+    "ipv6": (NEXT_HEADER_IPV6, ETHERTYPE_IPV6),
+    "srh": (NEXT_HEADER_ROUTING, 0x88B5),
+    "ipv4": (NEXT_HEADER_IPV4, ETHERTYPE_IPV4),
+    "ethernet": (NEXT_HEADER_ETHERNET, 0x88B5),
+}
+UINT8, UINT16 = st.integers(0, 0xFF), st.integers(0, 0xFFFF)
+
+
+@st.composite
+def spliced_frames(draw):
+    """Frames spliced from wire headers, inside out: any header inside
+    any other (SRH after SRH, IPv4 after SRH, IPv6 chains). Each next
+    header, ethertype and length field is right three times in four and
+    drawn otherwise, and the frame may be cut short or get bytes
+    appended."""
+
+    def right_or(value, other):
+        return value if draw(st.integers(0, 3)) < 3 else draw(other)
+
+    frame = draw(st.binary(max_size=32))
+    next_header, ethertype = NEXT_HEADER_NONE, 0x88B5
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(list(ANNOUNCE)))
+        if kind == "ethernet":
+            frame = wire_ethernet(right_or(ethertype, ETHERTYPES), frame)
+        elif kind == "ipv6":
+            frame = wire_ipv6(right_or(next_header, NEXT_HEADERS), frame, right_or(None, UINT16))
+        elif kind == "srh":
+            sids = (SID2, SID1)[: draw(st.integers(1, 2))]
+            segments_left = draw(st.integers(0, len(sids)))
+            hdr_ext_len, last_entry = right_or(None, UINT8), right_or(None, UINT8)
+            frame = wire_srh(right_or(next_header, NEXT_HEADERS), frame, sids, segments_left, hdr_ext_len, last_entry)
+        else:
+            frame = wire_ipv4(right_or(next_header, NEXT_HEADERS), frame, right_or(None, UINT16), right_or(0, UINT16))
+        next_header, ethertype = ANNOUNCE[kind]
+    frame = wire_ethernet(right_or(ethertype, ETHERTYPES), frame)
+    frame = frame[: right_or(len(frame), st.integers(0, len(frame)))]
+    return frame + right_or(b"", st.binary(min_size=1, max_size=8))
+
+
+@given(data=spliced_frames() | st.binary(max_size=200))
+@example(data=SRH_AFTER_SRH)
+@example(data=DEEP_FRAME)
+@example(data=IPV4_CHECKSUM_FFFF)
+@example(data=wire_ethernet(ETHERTYPE_IPV4, wire_ipv4(61, b"", flags_fragment=0x4000)))
+def test_decode_gives_back_its_bytes_or_refuses(data):
+    try:
+        template = decode(data)
+    except Srv6BenchError:
+        return
+    assert encode(template) == data
 
 
 @pytest.mark.parametrize(
