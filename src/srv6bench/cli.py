@@ -112,11 +112,11 @@ def _cmd_run(args) -> int:
         if entry.error:
             print(f"{entry.behavior.value}: ERROR: {entry.error}")
         else:
-            mid = entry.interval.midpoint_pps / 1e3
+            stats = entry.stats
             flags = f" [{', '.join(entry.flags)}]" if entry.flags else ""
             print(
-                f"{entry.behavior.value}: {rate_name} midpoint {mid:.1f} kpps "
-                f"(CV {entry.stats.cv_percent:.3f}%, CI95 {entry.stats.ci95_percent:.3f}%)"
+                f"{entry.behavior.value}: {rate_name} midpoint {stats.mean / 1e3:.1f} kpps, "
+                f"mean of {stats.n} runs (CV {stats.cv_percent:.3f}%, CI95 {stats.ci95_percent:.3f}%)"
                 f"{flags}"
             )
     print(f"outputs written to {args.out}")

@@ -313,10 +313,13 @@ def find_pdr(
     Halves the window around its middle point until the window is no
     wider than the accuracy target. A search in which no probe failed is
     flagged line-rate-limited; one in which none passed is flagged
-    below-search-floor.
+    below-search-floor. A window no wider than the accuracy target would
+    run no trial, so it is refused.
     """
     cfg = cfg or SearchConfig()
     policy = policy or TrialPolicy()
+    if not cfg.accuracy_percent < cfg.max_percent - cfg.min_percent:
+        raise ValueError("accuracy_percent must be below max_percent - min_percent")
     lpr = line_packet_rate_pps
     trace = FinderTrace()
     low, high = _bisect(

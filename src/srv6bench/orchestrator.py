@@ -38,25 +38,10 @@ from .finder import (
     validate_pdr,
 )
 from .packet import (  # default_behavior_configs is not used here: it is re-exported
-    ADDRESS_PLAN, SID_PLAN, PacketTemplate, build_test_packet, default_behavior_configs, encode,
+    ADDRESS_PLAN, SID_PLAN, PacketTemplate, build_test_packet, default_behavior_configs,
 )
 from .ratemath import LinkSpec, SummaryStats, line_packet_rate
 from .simulator import ForwarderModel, SimDriver
-
-
-@dataclass(frozen=True)
-class ConfigRecipe:
-    """Rendered configuration procedure for one behavior on one forwarder.
-
-    teardown undoes steps in reverse order: teardown[-1 - i] undoes steps[i].
-    """
-
-    steps: tuple[str, ...]
-    teardown: tuple[str, ...]
-
-    def undo(self, issued: int) -> tuple[str, ...]:
-        """Teardown of the first `issued` steps, the last one issued first."""
-        return self.teardown[len(self.steps) - issued:]
 
 
 def _ip(command: str) -> tuple[str, str]:
@@ -103,10 +88,6 @@ _LINUX_RECIPES = {
     _B.END_DT6: (
         _seg6local("End.DT6 table {table}"),
         _ip("-6 route {verb} {inner_prefix6} table {table} via {nexthop6} dev {iface_out}"),
-    ),
-    _B.END_DT4: (
-        _seg6local("End.DT4 vrftable {table}"),
-        _ip("route {verb} {inner_prefix4} table {table} via {nexthop4} dev {iface_out}"),
     ),
     _B.END_DX6: (_seg6local("End.DX6 nh6 {nexthop6}"),),
     _B.END_DX4: (_seg6local("End.DX4 nh4 {nexthop4}"),),
@@ -157,7 +138,8 @@ _RECIPES = {"linux": _LINUX_RECIPES, "vpp": _VPP_RECIPES}
 FORWARDER_KINDS = ("linux", "vpp", "sim")
 
 
-def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
+def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> tuple[tuple[str, str], ...]:
+    """A behavior's rendered (setup, undo) command pairs, in setup order."""
     spec = lookup(behavior)
     if not spec.measured:
         raise Srv6BenchError(
@@ -175,10 +157,7 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> ConfigRecipe:
         pairs = _RECIPES[forwarder_kind][spec.id]
     else:
         raise ConfigError(f"unknown forwarder kind: {forwarder_kind!r}")
-    return ConfigRecipe(
-        tuple(setup.format(**ADDRESS_PLAN) for setup, _ in pairs),
-        tuple(undo.format(**ADDRESS_PLAN) for _, undo in reversed(pairs)),
-    )
+    return tuple((setup.format(**ADDRESS_PLAN), undo.format(**ADDRESS_PLAN)) for setup, undo in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +506,7 @@ def resolve(
     behavior: BehaviorId,
     testbed: TestbedConfig,
     packet: Optional[PacketOverrides] = None,
-) -> tuple[PacketTemplate, ConfigRecipe]:
+) -> tuple[PacketTemplate, tuple[tuple[str, str], ...]]:
     """Map a behavior to its test packet and configuration recipe."""
     recipe = recipe_for(behavior, testbed.forwarder_kind)
     return packet_for(behavior, packet), recipe
@@ -552,11 +531,11 @@ def run_campaign(
     """Run every requested behavior sequentially against one testbed.
 
     Per-behavior failures are recorded and the campaign continues. The
-    test packet is encoded once and the driver built before the first
-    setup step, and the setup steps a behavior issued are always undone,
-    last one first; a failed undo joins that behavior's error. executor
-    and driver_factory are injection points for tests (a recording mock,
-    a scripted driver).
+    driver is built, and checks the test packet, before the first setup
+    step. Every setup step that succeeded is always undone by its paired
+    command, last one first; a failed undo joins that behavior's error.
+    executor and driver_factory are injection points for tests (a
+    recording mock, a scripted driver).
     """
     executor = executor or RecordingExecutor()
     driver_factory = driver_factory or _make_driver
@@ -568,23 +547,22 @@ def run_campaign(
         started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     for behavior in experiment.behaviors:
-        frame_size = lpr = recipe = None
-        issued = 0
+        frame_size = lpr = None
+        undos = []
         measured = {}
         errors = []
         try:
             template, recipe = resolve(behavior, testbed, experiment.packet)
             frame_size = template.frame_size
             lpr = line_packet_rate(testbed.link, frame_size)
-            encode(template)  # a packet the codec cannot write fails before any setup step
             driver = driver_factory(behavior, template, testbed)
-            for step in recipe.steps:
+            for step, undo in recipe:
                 status, output = executor.execute(step)
                 if status != 0:
                     raise Srv6BenchError(
                         f"configuration step failed ({status}): {step}: {output}"
                     )
-                issued += 1
+                undos.append(undo)
             validation = validate_pdr(
                 driver,
                 lpr,
@@ -607,11 +585,10 @@ def run_campaign(
         except Srv6BenchError as exc:
             errors.append(str(exc))
         finally:
-            if recipe is not None:
-                for step in recipe.undo(issued):
-                    status, output = executor.execute(step)
-                    if status != 0:
-                        errors.append(f"teardown step failed ({status}): {step}: {output}")
+            for step in reversed(undos):
+                status, output = executor.execute(step)
+                if status != 0:
+                    errors.append(f"teardown step failed ({status}): {step}: {output}")
         result.entries.append(
             BehaviorResult(
                 behavior=behavior,

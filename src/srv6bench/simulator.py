@@ -109,11 +109,11 @@ class TrafficDriver(Protocol):
 class SimDriver:
     """Reference driver: runs trials against a ForwarderModel.
 
-    The template is checked against the behavior's traffic requirement,
-    and the model for the behavior's capacity, once, when the driver is
-    built. A noisy model gets one generator per driver, seeded once from
-    the model seed and the behavior, so each trial draws the next noise
-    value.
+    The template is checked against the behavior's traffic requirement
+    and encoded, and the model asked for the behavior's capacity, once,
+    when the driver is built. A noisy model gets one generator per
+    driver, seeded once from the model seed and the behavior, so each
+    trial draws the next noise value.
     """
 
     def __init__(
@@ -121,6 +121,7 @@ class SimDriver:
     ):
         if not satisfies(template, traffic_requirement(behavior)):
             raise Srv6BenchError(f"template does not satisfy the {behavior} traffic requirement")
+        encode(template)  # a test packet the codec cannot write fails before any trial
         model.capacity(behavior)
         self.model = model
         self.behavior = behavior
@@ -138,10 +139,10 @@ class SimDriver:
         behavior = self.behavior
         forwarded, _ = apply_behavior(behavior, self.template, self._config)
         try:
-            conforms = decode(encode(forwarded)) == forwarded
-        except Srv6BenchError:  # encode refuses a packet decode could not give back
-            conforms = False
-        if not conforms:
+            wire = encode(forwarded)
+        except Srv6BenchError as exc:
+            raise Srv6BenchError(f"{behavior} does not conform: {exc}") from exc
+        if decode(wire) != forwarded:
             raise Srv6BenchError(
                 f"{behavior} does not conform: its forwarded packet does not survive encode/decode"
             )

@@ -59,14 +59,14 @@ def _patch_end(monkeypatch, rewrite):
 @pytest.fixture
 def nonconforming_end(monkeypatch):
     """End's transform patched to write an outer next header of "none" in
-    front of the SRH: the forwarded packet decodes with the SRH as a
-    payload, so it does not survive encode/decode."""
+    front of the SRH: encode refuses the forwarded packet, because decode
+    would read the SRH as a payload."""
     _patch_end(monkeypatch, lambda eth, outer, *rest: (eth, replace(outer, next_header=NEXT_HEADER_NONE), *rest))
 
 
 @pytest.fixture
 def misnested_end(monkeypatch):
     """End's transform patched to put the payload ahead of the inner IPv6
-    header: encode refuses the forwarded packet, so it does not survive
-    encode/decode."""
+    header: encode refuses the forwarded packet, because the payload is
+    not innermost."""
     _patch_end(monkeypatch, lambda *layers: (*layers[:-2], layers[-1], layers[-2]))

@@ -137,8 +137,19 @@ class TestRun:
         )
         assert executor.commands == []
 
-    @pytest.mark.parametrize("patch", ["nonconforming_end", "misnested_end"])
-    def test_non_conforming_behavior_is_an_error_not_a_pdr(self, patch, tmp_path, capsys, request):
+    @pytest.mark.parametrize(
+        "patch, reason",
+        [
+            (
+                "nonconforming_end",
+                "IPv6Header next header 59 is followed by SegmentRoutingHeader: "
+                "decode would read a payload or nothing",
+            ),
+            ("misnested_end", "payload must be the innermost layer"),
+        ],
+        ids=["nonconforming_end", "misnested_end"],
+    )
+    def test_non_conforming_behavior_is_an_error_not_a_pdr(self, patch, reason, tmp_path, capsys, request):
         # End must report an error while the other behaviors' results do
         # not change, also when encode refuses its forwarded packet
         def rows(out):
@@ -153,14 +164,28 @@ class TestRun:
         good, bad = rows(tmp_path / "good"), rows(tmp_path / "bad")
         assert [r["behavior"] for r in bad] == ["PlainIPv6", "End", "End.DT6", "H.Encaps"]
         end = bad[1]
-        assert end["error"].endswith(
-            ": End does not conform: its forwarded packet does not survive encode/decode"
-        )
+        # the error keeps encode's reason for refusing the forwarded packet
+        assert end["error"].endswith(f": End does not conform: {reason}")
         assert end["pdr_low_pps"] is None and end["pdr_high_pps"] is None
         assert end["stats"] is None
         # End failed on its first trial: it probed no rate, so it has no trace
         assert not (tmp_path / "bad" / "trace_End.json").exists()
         assert [r for r in bad if r is not end] == [r for r in good if r["behavior"] != "End"]
+
+    def test_an_oversize_forward_keeps_encode_reason(self, tmp_path):
+        # the test packet fits the 16-bit IPv6 payload length; with the
+        # SRH H.Insert adds, the forwarded packet does not
+        exp = tmp_path / "e.yaml"
+        exp.write_text("behaviors: [H.Insert]\nruns: 1\npacket: {inner_size: 65560}\n")
+        tb = tmp_path / "t.yaml"
+        tb.write_text(TESTBED + "    H.Insert: 1000\n")
+        out = tmp_path / "o"
+        assert run_cmd(exp, tb, out) == EXIT_PARTIAL
+        (row,) = json.loads((out / "campaign.json").read_text())["behaviors"]
+        assert row["error"].startswith("search aborted at ")
+        assert row["error"].endswith(
+            " pps: H.Insert does not conform: IPv6 payload length 65576 exceeds 65535"
+        )
 
     def test_ndr_campaign_says_ndr(self, tmp_path, capsys):
         experiment = (SHIPPED / "experiment.sim.yaml").read_text()
@@ -387,6 +412,26 @@ def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, 
             assert low["testbed_s"] >= full_s and high["testbed_s"] >= full_s
     if pinned == "noisy":
         assert "CV 0.000%" not in capsys.readouterr().out
+
+
+def test_run_prints_the_mean_its_cv_and_ci95_describe(tmp_path, capsys):
+    testbed = (SHIPPED / "testbed.sim.yaml").read_text()
+    tb = tmp_path / "testbed.yaml"
+    tb.write_text(testbed.replace("noise_sigma: 0.0\n", "noise_sigma: 0.002\n"))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run_cmd(SHIPPED / "experiment.sim.yaml", tb, out) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text.count(" kpps, mean of 10 runs (CV ") == 4
+    printed = dict(re.findall(r"^(\S+): PDR midpoint ([0-9.]+) kpps", text, re.M))
+    rows = {r["behavior"]: r for r in json.loads((out / "campaign.json").read_text())["behaviors"]}
+    assert printed.keys() == rows.keys()
+    for behavior, row in rows.items():
+        assert float(printed[behavior]) == pytest.approx(row["stats"]["mean_pps"] / 1e3, abs=0.1)
+    # the last run's interval, which campaign.json still reports, is another figure
+    dt6 = rows["End.DT6"]
+    last_midpoint = (dt6["pdr_low_pps"] + dt6["pdr_high_pps"]) / 2e3
+    assert abs(float(printed["End.DT6"]) - last_midpoint) > 1
 
 
 class TestOtherCommands:

@@ -200,6 +200,17 @@ class TestBinarySearch:
         # with a sharp knee the no-drop rate is the capacity itself
         assert result.interval.low_pps <= 5_000_000 <= result.interval.high_pps
 
+    def test_a_window_no_wider_than_the_accuracy_is_refused(self):
+        # bisecting it would run no trial and report a window never measured
+        cfg = SearchConfig(min_percent=50, max_percent=50.5, accuracy_percent=1)
+        d = CountingDriver(sim_driver(900_000))
+        message = "^accuracy_percent must be below max_percent - min_percent$"
+        with pytest.raises(ValueError, match=message):
+            find_pdr(d, LPR_64, cfg)
+        assert d.trials == 0
+        # the legacy finder probes the floor first, so it measures the window
+        assert find_pdr_legacy(d, LPR_64, cfg).trace.entries
+
     def test_driver_failure_becomes_aborted_experiment(self):
         class DeadDriver:
             def run_trial(self, rate_pps, duration_s):

@@ -19,6 +19,7 @@ from srv6bench.orchestrator import (
     ExperimentConfig,
     RecordingExecutor,
     TestbedConfig as BenchTestbedConfig,
+    _RECIPES,
     _load_yaml,
     _make_driver,
     default_behavior_configs,
@@ -325,16 +326,16 @@ def test_any_shape_yields_a_config_or_a_config_error(parse, base, paths, data):
 
 class TestRecipes:
     def test_end_linux_installs_exactly_two_routes(self):
-        recipe = recipe_for(BehaviorId.END, "linux")
-        assert len(recipe.steps) == 2
-        assert all(s.startswith("ip -6 route add") for s in recipe.steps)
-        assert "seg6local action End " in recipe.steps[0]
-        assert ADDRESS_PLAN["sid1"] in recipe.steps[0]
+        steps = [setup for setup, _ in recipe_for(BehaviorId.END, "linux")]
+        assert len(steps) == 2
+        assert all(s.startswith("ip -6 route add") for s in steps)
+        assert "seg6local action End " in steps[0]
+        assert ADDRESS_PLAN["sid1"] in steps[0]
 
     def test_linux_teardown_mirrors_setup_reversed(self):
-        recipe = recipe_for(BehaviorId.END, "linux")
-        undone = [s.replace("del", "add") for s in reversed(recipe.teardown)]
-        assert undone == list(recipe.steps)
+        # each step's undo deletes the route the step adds
+        for setup, undo in recipe_for(BehaviorId.END, "linux"):
+            assert undo.replace("del", "add") == setup
 
     def test_end_dt4_not_available_on_linux(self):
         message = r"^End.DT4 is not supported by the linux forwarder \(catalog: linux_supported=False\)$"
@@ -343,17 +344,16 @@ class TestRecipes:
 
     def test_end_dt4_available_on_vpp(self):
         recipe = recipe_for(BehaviorId.END_DT4, "vpp")
-        assert any("end.dt4" in s for s in recipe.steps)
+        assert any("end.dt4" in setup for setup, _ in recipe)
 
     def test_vpp_recipes_render_the_address_plan(self):
         recipe = recipe_for(BehaviorId.END, "vpp")
-        assert ADDRESS_PLAN["sid1"] in recipe.steps[0]
-        assert "{" not in "".join(recipe.steps + recipe.teardown)
+        assert ADDRESS_PLAN["sid1"] in recipe[0][0]
+        assert "{" not in "".join(command for pair in recipe for command in pair)
 
     def test_sim_recipe_is_a_single_marker(self):
         recipe = recipe_for(BehaviorId.END, "sim")
-        assert recipe.steps == ("sim set-behavior End",)
-        assert recipe.teardown == ("sim clear-behavior End",)
+        assert recipe == (("sim set-behavior End", "sim clear-behavior End"),)
 
     def test_unmeasured_behavior_has_no_recipe(self):
         with pytest.raises(Srv6BenchError, match="^End.AD is not measurable: no semantics/recipe$"):
@@ -369,17 +369,25 @@ class TestRecipes:
         for spec in catalog():
             if not spec.measured:
                 continue
-            assert recipe_for(spec.id, "vpp").steps
-            assert recipe_for(spec.id, "sim").steps
+            assert recipe_for(spec.id, "vpp")
+            assert recipe_for(spec.id, "sim")
             if spec.linux_supported:
-                assert recipe_for(spec.id, "linux").steps
+                assert recipe_for(spec.id, "linux")
+
+    @pytest.mark.parametrize("kind", ["linux", "vpp"])
+    def test_a_recipe_exists_exactly_where_the_catalog_supports_it(self, kind):
+        from srv6bench.catalog import catalog
+
+        for spec in catalog():
+            if spec.measured:
+                assert (spec.id in _RECIPES[kind]) == getattr(spec, f"{kind}_supported"), spec.id
 
 
 class TestResolve:
     def test_end_frame(self):
         template, recipe = resolve(BehaviorId.END, sim_testbed())
         assert template.frame_size == 158
-        assert recipe.steps == ("sim set-behavior End",)
+        assert [setup for setup, _ in recipe] == ["sim set-behavior End"]
 
     def test_headend_frame(self):
         tb = sim_testbed({BehaviorId.H_ENCAPS: 1e6})
@@ -487,8 +495,9 @@ class TestCampaign:
             executor=executor,
             driver_factory=sim_factory,
         )
-        assert executor.commands == [*recipe.steps, recipe.teardown[-1]]
-        assert recipe.teardown[-1] == recipe.steps[0].replace(" add ", " del ")
+        (first, first_undo), (second, _) = recipe
+        assert executor.commands == [first, second, first_undo]
+        assert first_undo == first.replace(" add ", " del ")
         assert "configuration step failed" in result.entries[0].error
 
     def test_teardown_failure_is_recorded(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 from dataclasses import replace
 
@@ -100,11 +101,20 @@ class TestRunTrial:
         assert sample.duration_s == 10.0
 
     def test_forward_that_does_not_round_trip_fails(self, end_template, nonconforming_end):
-        with pytest.raises(
-            Srv6BenchError,
-            match="^End does not conform: its forwarded packet does not survive encode/decode$",
-        ):
+        message = (
+            "End does not conform: IPv6Header next header 59 is followed by "
+            "SegmentRoutingHeader: decode would read a payload or nothing"
+        )
+        with pytest.raises(Srv6BenchError, match=f"^{re.escape(message)}$"):
             SimDriver(model(), END, end_template).run_trial(1_000_000, 1.0)
+
+    def test_misnested_test_packet_is_refused_when_the_driver_is_built(self, end_template):
+        # the payload ahead of the inner IPv6 header still satisfies End's
+        # traffic requirement; encode refuses it before any trial
+        *outer, inner, payload = end_template.layers
+        misnested = PacketTemplate((*outer, payload, inner))
+        with pytest.raises(Srv6BenchError, match="^payload must be the innermost layer$"):
+            SimDriver(model(), END, misnested)
 
     def test_template_mismatch_rejected(self, dt6_template):
         # a decap packet (Segments Left 0) cannot exercise End; the driver
