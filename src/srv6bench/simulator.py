@@ -101,7 +101,11 @@ def _outermost_hop_limit(template: PacketTemplate) -> Optional[int]:
 
 
 class TrafficDriver(Protocol):
-    """Blocking trial-running contract the search algorithms rely on."""
+    """Blocking trial-running contract the search algorithms rely on.
+
+    A driver is built before any setup step and must refuse, when it is
+    built, a test packet that encode refuses, as SimDriver does.
+    """
 
     def run_trial(self, rate_pps: float, duration_s: float) -> TrialSample: ...
 

@@ -500,6 +500,26 @@ class TestCampaign:
         assert first_undo == first.replace(" add ", " del ")
         assert "configuration step failed" in result.entries[0].error
 
+    def test_full_setup_is_undone_last_step_first(self):
+        linux = BenchTestbedConfig(
+            forwarder_kind="linux",
+            link=LinkSpec(line_bit_rate_bps=10e9),
+        )
+        executor = RecordingExecutor()
+
+        def sim_factory(behavior, template, testbed):
+            return SimDriver(ForwarderModel({behavior: 900e3}), behavior, template)
+
+        result = run_campaign(
+            ExperimentConfig(behaviors=(BehaviorId.END,), runs=1),
+            linux,
+            executor=executor,
+            driver_factory=sim_factory,
+        )
+        (first, first_undo), (second, second_undo) = recipe_for(BehaviorId.END, "linux")
+        assert result.entries[0].error is None
+        assert executor.commands == [first, second, second_undo, first_undo]
+
     def test_teardown_failure_is_recorded(self):
         class FailTeardown(RecordingExecutor):
             def execute(self, command):
