@@ -20,6 +20,7 @@ from .orchestrator import (
     packet_for,
     parse_experiment_config,
     parse_testbed_config,
+    render_campaign,
     run_campaign,
 )
 from .packet import ETHERNET_LEN, hexdump
@@ -69,10 +70,9 @@ def _cmd_packet(args) -> int:
 
 
 def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
-    (out_dir / "campaign.json").write_text(
-        json.dumps(result.to_json_dict(), indent=2), encoding="utf-8"
-    )
-    (out_dir / "campaign.csv").write_text(result.to_csv(), encoding="utf-8")
+    doc = result.to_json_dict()
+    (out_dir / "campaign.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    (out_dir / "campaign.csv").write_text(render_campaign(doc, "csv"), encoding="utf-8")
 
     plot_lines = ["behavior,run,tx_rate_pps,delivery_ratio,throughput_pps"]
     for entry in result.entries:
@@ -128,19 +128,7 @@ def _cmd_report(args) -> int:
         doc = json.loads(Path(args.campaign).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read campaign file: {exc}") from None
-    result = CampaignResult.from_json_dict(doc)
-    if args.format == "csv":
-        print(result.to_csv(), end="")
-    else:
-        for entry in result.entries:
-            if entry.error:
-                print(f"{entry.behavior.value}: ERROR: {entry.error}")
-            elif entry.interval:
-                print(
-                    f"{entry.behavior.value}: [{entry.interval.low_pps:.0f}, "
-                    f"{entry.interval.high_pps:.0f}] pps"
-                    + (f" [{', '.join(entry.flags)}]" if entry.flags else "")
-                )
+    print(render_campaign(doc, args.format), end="")
     return EXIT_OK
 
 

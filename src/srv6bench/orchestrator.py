@@ -431,65 +431,75 @@ class CampaignResult:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CampaignResult":
-        """Inverse of to_json_dict; a malformed document is a ConfigError."""
-        try:
-            entries = []
-            for row in doc["behaviors"]:
-                interval = None
-                if row["pdr_low_pps"] is not None:
-                    interval = RateInterval(row["pdr_low_pps"], row["pdr_high_pps"])
-                stats = None
-                if row["stats"] is not None:
-                    stats = SummaryStats(
-                        mean=row["stats"]["mean_pps"],
-                        cv_percent=row["stats"]["cv_percent"],
-                        ci95_percent=row["stats"]["ci95_percent"],
-                        n=row["stats"]["n"],
-                    )
-                entries.append(
-                    BehaviorResult(
-                        behavior=BehaviorId.parse(row["behavior"]),
-                        frame_size=row["frame_size"],
-                        line_packet_rate_pps=row["line_packet_rate_pps"],
-                        interval=interval,
-                        flags=tuple(row["flags"]),
-                        stats=stats,
-                        error=row["error"],
-                    )
-                )
-            return cls(
-                forwarder_kind=doc["forwarder"],
-                entries=entries,
-                version=doc["version"],
-                started_at=doc["started_at"],
-                finished_at=doc["finished_at"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"campaign: malformed document: {exc!r}") from exc
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv_mod.writer(buf)
-        writer.writerow(
-            ["behavior", "forwarder", "pdr_low_pps", "pdr_high_pps",
-             "midpoint_kpps", "cv_percent", "ci95_percent", "flags"]
+def _number(value, key: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} is not a number: {value!r}")
+    return value
+
+
+def _render_row(row, forwarder) -> tuple[list, Optional[str]]:
+    """One behavior's campaign.csv cells and its report line (None when
+    the row has neither an error nor an interval)."""
+    behavior = BehaviorId.parse(row["behavior"]).value
+    low, high = row["pdr_low_pps"], row["pdr_high_pps"]
+    interval = None
+    if low is not None or high is not None:
+        interval = RateInterval(_number(low, "pdr_low_pps"), _number(high, "pdr_high_pps"))
+    stats = row["stats"]
+    if stats is not None:
+        stats = [_number(stats[k], k) for k in ("cv_percent", "ci95_percent")]
+    flags, error = row["flags"], row["error"]
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise ValueError(f"flags is not a list of strings: {flags!r}")
+    cells = [
+        behavior,
+        forwarder,
+        f"{interval.low_pps:.2f}" if interval else "",
+        f"{interval.high_pps:.2f}" if interval else "",
+        f"{interval.midpoint_pps / 1e3:.2f}" if interval else "",
+        f"{stats[0]:.4f}" if stats else "",
+        f"{stats[1]:.4f}" if stats else "",
+        ";".join(flags) if flags else (error or ""),
+    ]
+    line = None
+    if error:
+        line = f"{behavior}: ERROR: {error}"
+    elif interval:
+        line = f"{behavior}: [{interval.low_pps:.0f}, {interval.high_pps:.0f}] pps" + (
+            f" [{', '.join(flags)}]" if flags else ""
         )
-        for e in self.entries:
-            writer.writerow(
-                [
-                    e.behavior.value,
-                    self.forwarder_kind,
-                    f"{e.interval.low_pps:.2f}" if e.interval else "",
-                    f"{e.interval.high_pps:.2f}" if e.interval else "",
-                    f"{e.interval.midpoint_pps / 1e3:.2f}" if e.interval else "",
-                    f"{e.stats.cv_percent:.4f}" if e.stats else "",
-                    f"{e.stats.ci95_percent:.4f}" if e.stats else "",
-                    ";".join(e.flags) if e.flags else (e.error or ""),
-                ]
-            )
-        return buf.getvalue()
+    return cells, line
+
+
+def render_campaign(doc, fmt: str) -> str:
+    """Render a campaign.json document as campaign.csv ("csv") or as the
+    report table ("table"), one line per behavior with an error or an
+    interval.
+
+    The document is the only stored form of a campaign: `run` writes
+    campaign.csv through this, and `report` re-renders a stored file.
+    Either format needs every key either one shows, well typed; a
+    document without them is a ConfigError, raised before any text is
+    returned.
+    """
+    try:
+        forwarder = doc["forwarder"]
+        rows = [_render_row(row, forwarder) for row in doc["behaviors"]]
+    except KeyError as exc:
+        raise ConfigError(f"campaign: malformed document: missing key {exc}") from None
+    except (TypeError, ValueError, Srv6BenchError) as exc:
+        raise ConfigError(f"campaign: malformed document: {exc}") from None
+    if fmt == "table":
+        return "".join(f"{line}\n" for _, line in rows if line)
+    buf = io.StringIO()
+    writer = csv_mod.writer(buf)
+    writer.writerow(
+        ["behavior", "forwarder", "pdr_low_pps", "pdr_high_pps",
+         "midpoint_kpps", "cv_percent", "ci95_percent", "flags"]
+    )
+    writer.writerows(cells for cells, _ in rows)
+    return buf.getvalue()
 
 
 def packet_for(

@@ -40,6 +40,30 @@ def configs(tmp_path):
     return exp, tb
 
 
+def campaign_doc(**second):
+    """A well-formed two-behavior campaign.json, with keys of the second
+    behavior's row replaced by second."""
+    rows = [
+        {
+            "behavior": behavior,
+            "frame_size": 158,
+            "line_packet_rate_pps": 6868131.868131869,
+            "pdr_low_pps": low,
+            "pdr_high_pps": high,
+            "flags": [],
+            "stats": {"mean_pps": (low + high) / 2, "cv_percent": 0.0, "ci95_percent": 0.0, "n": 10},
+            "error": None,
+        }
+        for behavior, low, high in [
+            ("End", 706129.8076923077, 759250.5151098901),
+            ("End.DT6", 759250.5151098901, 812371.2225274725),
+        ]
+    ]
+    rows[1].update(second)
+    doc = {"version": "0.1.0", "forwarder": "sim", "started_at": "", "finished_at": ""}
+    return json.dumps(dict(doc, ci95_model="normal", behaviors=rows))
+
+
 def run_cmd(exp, tb, out):
     return main(
         ["run", "--experiment", str(exp), "--testbed", str(tb), "--out", str(out)]
@@ -347,6 +371,17 @@ class TestRun:
         assert not out.exists()
 
 
+def run_shipped(noise_sigma, tmp_path):
+    """Run the shipped sim configs at noise_sigma; returns the output directory."""
+    testbed = (SHIPPED / "testbed.sim.yaml").read_text()
+    assert "noise_sigma: 0.0\n" in testbed
+    tb = tmp_path / "testbed.yaml"
+    tb.write_text(testbed.replace("noise_sigma: 0.0\n", f"noise_sigma: {noise_sigma}\n"))
+    out = tmp_path / "out"
+    assert run_cmd(SHIPPED / "experiment.sim.yaml", tb, out) == EXIT_OK
+    return out
+
+
 # sha256 of each output of `srv6bench run` on the shipped sim configs, with
 # campaign.json's started_at and finished_at blanked; recorded on CPython 3.11.
 # The noisy digests follow the per-driver noise generator's draw order.
@@ -385,12 +420,7 @@ PINNED_OUTPUTS = {
     "noise_sigma, pinned", [("0.0", "noiseless"), ("0.002", "noisy")], ids=["noiseless", "noisy"]
 )
 def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, capsys):
-    testbed = (SHIPPED / "testbed.sim.yaml").read_text()
-    assert "noise_sigma: 0.0\n" in testbed
-    tb = tmp_path / "testbed.yaml"
-    tb.write_text(testbed.replace("noise_sigma: 0.0\n", f"noise_sigma: {noise_sigma}\n"))
-    out = tmp_path / "out"
-    assert run_cmd(SHIPPED / "experiment.sim.yaml", tb, out) == EXIT_OK
+    out = run_shipped(noise_sigma, tmp_path)
     digests = {}
     for path in out.iterdir():
         data = path.read_bytes()
@@ -415,12 +445,8 @@ def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, 
 
 
 def test_run_prints_the_mean_its_cv_and_ci95_describe(tmp_path, capsys):
-    testbed = (SHIPPED / "testbed.sim.yaml").read_text()
-    tb = tmp_path / "testbed.yaml"
-    tb.write_text(testbed.replace("noise_sigma: 0.0\n", "noise_sigma: 0.002\n"))
-    out = tmp_path / "out"
     capsys.readouterr()
-    assert run_cmd(SHIPPED / "experiment.sim.yaml", tb, out) == EXIT_OK
+    out = run_shipped("0.002", tmp_path)
     text = capsys.readouterr().out
     assert text.count(" kpps, mean of 10 runs (CV ") == 4
     printed = dict(re.findall(r"^(\S+): PDR midpoint ([0-9.]+) kpps", text, re.M))
@@ -432,6 +458,14 @@ def test_run_prints_the_mean_its_cv_and_ci95_describe(tmp_path, capsys):
     dt6 = rows["End.DT6"]
     last_midpoint = (dt6["pdr_low_pps"] + dt6["pdr_high_pps"]) / 2e3
     assert abs(float(printed["End.DT6"]) - last_midpoint) > 1
+
+
+@pytest.mark.parametrize("noise_sigma", ["0.0", "0.002"], ids=["noiseless", "noisy"])
+def test_report_csv_is_the_written_campaign_csv(noise_sigma, tmp_path, capsysbinary):
+    out = run_shipped(noise_sigma, tmp_path)
+    capsysbinary.readouterr()
+    assert main(["report", "--campaign", str(out / "campaign.json"), "--format", "csv"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == (out / "campaign.csv").read_bytes()
 
 
 class TestOtherCommands:
@@ -483,12 +517,21 @@ class TestOtherCommands:
         capsys.readouterr()
         rc = main(["report", "--campaign", str(out / "campaign.json")])
         assert rc == EXIT_OK
-        assert "End: [" in capsys.readouterr().out
+        rows = json.loads((out / "campaign.json").read_text())["behaviors"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{r['behavior']}: [{r['pdr_low_pps']:.0f}, {r['pdr_high_pps']:.0f}] pps" for r in rows
+        ]
+        assert [r["behavior"] for r in rows] == ["End", "H.Encaps"]
         rc = main(
             ["report", "--campaign", str(out / "campaign.json"), "--format", "csv"]
         )
         assert rc == EXIT_OK
-        assert capsys.readouterr().out.startswith("behavior,forwarder,")
+        text = capsys.readouterr().out
+        assert text.splitlines()[0] == (
+            "behavior,forwarder,pdr_low_pps,pdr_high_pps,"
+            "midpoint_kpps,cv_percent,ci95_percent,flags"
+        )
+        assert text == (out / "campaign.csv").read_bytes().decode()
 
     def test_report_missing_file(self, tmp_path, capsys):
         assert main(["report", "--campaign", str(tmp_path / "x.json")]) == EXIT_CONFIG
@@ -502,10 +545,32 @@ class TestOtherCommands:
         assert err.startswith("error: cannot read campaign file: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
-        "doc", ['{"behaviors": [{"behavior": "End"}]}', "[]"], ids=["missing-keys", "list"]
+        "doc",
+        [
+            '{"behaviors": [{"behavior": "End"}]}',
+            "[]",
+            campaign_doc(pdr_low_pps="1", pdr_high_pps="2"),
+            campaign_doc(stats={"mean_pps": 785810.5, "cv_percent": "0.5", "ci95_percent": 0.3, "n": 10}),
+            campaign_doc(flags="ab"),
+            campaign_doc(pdr_low_pps=812371.0, pdr_high_pps=759250.5),
+            campaign_doc(behavior="End.Nope"),
+        ],
+        ids=[
+            "missing-keys", "list", "bounds-str", "stat-str", "flags-str",
+            "bounds-out-of-order", "unknown-behavior",
+        ],
     )
     def test_report_malformed_campaign(self, doc, tmp_path, capsys):
+        # the first row is well formed: report prints nothing unless the
+        # whole document renders
         path = tmp_path / "campaign.json"
+        path.write_text(campaign_doc())
+        assert main(["report", "--campaign", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("End: [706130, 759251] pps\n")
         path.write_text(doc)
-        assert main(["report", "--campaign", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: campaign: malformed document")
+        for fmt in ("table", "csv"):
+            assert main(["report", "--campaign", str(path), "--format", fmt]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: campaign: malformed document")
+            assert "Traceback" not in captured.err

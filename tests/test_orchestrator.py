@@ -15,7 +15,6 @@ from srv6bench.errors import ConfigError, Srv6BenchError
 from srv6bench.finder import SearchConfig, TrialPolicy, find_pdr
 from srv6bench.orchestrator import (
     ADDRESS_PLAN,
-    CampaignResult,
     ExperimentConfig,
     RecordingExecutor,
     TestbedConfig as BenchTestbedConfig,
@@ -27,6 +26,7 @@ from srv6bench.orchestrator import (
     parse_experiment_config,
     parse_testbed_config,
     recipe_for,
+    render_campaign,
     resolve,
     run_campaign,
 )
@@ -702,19 +702,30 @@ class TestCampaignSerialization:
         return run_campaign(experiment, sim_testbed())
 
     def test_json_round_trip(self):
+        # the document holds every reported figure, survives JSON and
+        # renders the same once stored
         result = self.result()
         doc = result.to_json_dict()
         assert doc["ci95_model"] == "normal"
-        back = CampaignResult.from_json_dict(doc)
-        assert back.forwarder_kind == result.forwarder_kind
-        for a, b in zip(back.entries, result.entries):
-            assert a.behavior == b.behavior
-            assert a.interval == b.interval
-            assert a.flags == b.flags
-            assert a.stats == b.stats
+        assert doc["forwarder"] == result.forwarder_kind
+        assert len(doc["behaviors"]) == len(result.entries) == 2
+        for row, e in zip(doc["behaviors"], result.entries):
+            assert row["behavior"] == e.behavior.value
+            assert (row["pdr_low_pps"], row["pdr_high_pps"]) == (e.interval.low_pps, e.interval.high_pps)
+            assert row["flags"] == list(e.flags)
+            assert row["stats"] == {
+                "mean_pps": e.stats.mean,
+                "cv_percent": e.stats.cv_percent,
+                "ci95_percent": e.stats.ci95_percent,
+                "n": e.stats.n,
+            }
+        back = json.loads(json.dumps(doc))
+        assert back == doc
+        for fmt in ("csv", "table"):
+            assert render_campaign(back, fmt) == render_campaign(doc, fmt)
 
     def test_csv_shape(self):
-        text = self.result().to_csv()
+        text = render_campaign(self.result().to_json_dict(), "csv")
         lines = text.strip().splitlines()
         assert lines[0] == (
             "behavior,forwarder,pdr_low_pps,pdr_high_pps,"
