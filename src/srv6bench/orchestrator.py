@@ -405,8 +405,8 @@ class CampaignResult:
             "forwarder": self.forwarder_kind,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            # CI95 half-widths assume normality (z = 1.96)
-            "ci95_model": "normal",
+            # CI95 half-widths use the Student-t factor t_95(n - 1)
+            "ci95_model": "student-t",
             "behaviors": [
                 {
                     "behavior": e.behavior.value,

@@ -16,13 +16,8 @@ from .errors import Srv6BenchError
 ETHERNET_OVERHEAD = 24
 MIN_FRAME_SIZE = 64
 
-# Half-width factor of the normal 95% confidence interval. Reported
-# intervals deliberately do not use the Student-t factor; see the
-# SummaryStats docstring.
-Z_95 = 1.96
-
-# Two-sided 95% Student-t quantiles, t(0.975, df) for df = 1 ... 30. The
-# finder's near-band stop test uses them.
+# Two-sided 95% Student-t quantiles, t(0.975, df) for df = 1 ... 30.
+# summarize's CI95 and the finder's near-band stop test use them.
 T_95 = (
     12.7062, 4.3027, 3.1824, 2.7764, 2.5706, 2.4469, 2.3646, 2.3060, 2.2622, 2.2281,
     2.2010, 2.1788, 2.1604, 2.1448, 2.1314, 2.1199, 2.1098, 2.1009, 2.0930, 2.0860,
@@ -83,8 +78,9 @@ class SummaryStats:
     """Mean with relative dispersion figures.
 
     cv_percent is 100*s/mean with the n-1 sample standard deviation;
-    ci95_percent is the half-width of the normal (z=1.96) 95% interval,
-    relative to the mean. Both are 0 by convention for n = 1.
+    ci95_percent is the half-width of the Student-t 95% interval of the
+    mean, t_95(n - 1) * s / sqrt(n), relative to the mean. Both are 0 by
+    convention for n = 1.
     """
 
     mean: float
@@ -158,5 +154,5 @@ def summarize(samples: Sequence[float]) -> SummaryStats:
             return SummaryStats(mean=0.0, cv_percent=0.0, ci95_percent=0.0, n=n)
         raise Srv6BenchError("CV undefined: zero mean with nonzero deviation")
     cv = 100.0 * s / mean
-    ci95 = 100.0 * (Z_95 * s / math.sqrt(n)) / mean
+    ci95 = 100.0 * (t_95(n - 1) * s / math.sqrt(n)) / mean
     return SummaryStats(mean=mean, cv_percent=abs(cv), ci95_percent=abs(ci95), n=n)

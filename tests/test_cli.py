@@ -61,7 +61,7 @@ def campaign_doc(**second):
     ]
     rows[1].update(second)
     doc = {"version": "0.1.0", "forwarder": "sim", "started_at": "", "finished_at": ""}
-    return json.dumps(dict(doc, ci95_model="normal", behaviors=rows))
+    return json.dumps(dict(doc, ci95_model="student-t", behaviors=rows))
 
 
 def run_cmd(exp, tb, out):
@@ -394,10 +394,13 @@ def run_shipped(noise_sigma, tmp_path):
 #   (until a confirmation overturns a screen; then a search measures its
 #   later near-band rates at full duration).
 # The noiseless campaign.csv and campaign.json did not change.
+# Re-recorded when CI95 took the Student-t factor t_95(n - 1): both
+# campaign.json files changed in "ci95_model", and the noisy campaign.json
+# and campaign.csv in every ci95_percent (x 2.2622 / 1.96 at 10 runs).
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
-        "campaign.json": "14ea4abf5434318b5a468f50f4bcae84a26c3354b14b309c903366876ba15c34",
+        "campaign.json": "5788b866100a2d47daab352a60206c65bd1967498441fece99e283926361113b",
         "plot_data.csv": "3de43cd009041070fb435f59fea170a8897608f92303b363bcf90dee9d83a2ed",
         "trace_End.json": "57ce1b2ab624922e8d5cc83e507db2006165f7becfbca00e4d67823153c88c4a",
         "trace_End_DT6.json": "ef0ba785273d8049b668d25c28768aacfa6721859811f3829f748307178c1e98",
@@ -405,8 +408,8 @@ PINNED_OUTPUTS = {
         "trace_PlainIPv6.json": "7760d87be462f2c7cdf19de26f8c8d9898c758609c5948ce19feb96ddfc92511",
     },
     "noisy": {
-        "campaign.csv": "9a72540d5b74672fd8fab87aa1f5f713d49b1e1500b26ac328ad3a8d23f2fb41",
-        "campaign.json": "a154c50bf2d96331b17502510db1a56171d5babbcad5d882e39842eba95a8e5a",
+        "campaign.csv": "907c42ce7fe1d162237db121a26d416ebcae750206432286696e18a44554067c",
+        "campaign.json": "5f2b1a8a810bdf05b6e89af93f364576aceabce085f8c7f2a8ea8fba622dd659",
         "plot_data.csv": "802a3606005e20369d74ca1ab8ce1a063e6d1ab166ac53067650cccd280e0f33",
         "trace_End.json": "eeec510348ff1d3810e1b89a8bda324609fd0dcd3cce31f1d4e144e9a90863e0",
         "trace_End_DT6.json": "e7389653af16a1dca933e93dd08d936fbb8837e34f409cc766f59355c3d3fb6e",

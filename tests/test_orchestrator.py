@@ -706,7 +706,7 @@ class TestCampaignSerialization:
         # renders the same once stored
         result = self.result()
         doc = result.to_json_dict()
-        assert doc["ci95_model"] == "normal"
+        assert doc["ci95_model"] == "student-t"
         assert doc["forwarder"] == result.forwarder_kind
         assert len(doc["behaviors"]) == len(result.entries) == 2
         for row, e in zip(doc["behaviors"], result.entries):

@@ -130,11 +130,11 @@ class TestStudentT:
 
 class TestSummarize:
     def test_hand_computed_triple(self):
-        # mean 2, sample stdev 1 -> CV 50%, CI95 = 1.96/sqrt(3)/2 * 100
+        # mean 2, sample stdev 1 -> CV 50%, CI95 = t(0.975, 2)/sqrt(3)/2 * 100
         st_ = summarize([1.0, 2.0, 3.0])
         assert st_.mean == pytest.approx(2.0)
         assert st_.cv_percent == pytest.approx(50.0)
-        assert st_.ci95_percent == pytest.approx(100 * 1.96 / math.sqrt(3) / 2)
+        assert st_.ci95_percent == pytest.approx(100 * 4.3027 / math.sqrt(3) / 2)
         assert st_.n == 3
 
     def test_single_sample_has_zero_dispersion(self):
@@ -187,7 +187,7 @@ def reference(samples, s):
     """(cv_percent, ci95_percent) from statistics, with standard deviation s."""
     mean = statistics.fmean(samples)
     n = len(samples)
-    return abs(100.0 * s / mean), abs(100.0 * (1.96 * s / math.sqrt(n)) / mean)
+    return abs(100.0 * s / mean), abs(100.0 * (t_95(n - 1) * s / math.sqrt(n)) / mean)
 
 
 class TestSummarizeAgainstStatistics:
