@@ -542,7 +542,8 @@ def run_campaign(
 
     Per-behavior failures are recorded and the campaign continues. The
     driver is built before the first setup step; SimDriver checks the
-    test packet then, and a driver_factory driver must do the same. Every setup step that succeeded is always undone by its paired
+    test packet then, and a driver_factory driver must do the same.
+    Every setup step that succeeded is always undone by its paired
     command, last one first; a failed undo joins that behavior's error.
     executor and driver_factory are injection points for tests (a
     recording mock, a scripted driver).
