@@ -446,9 +446,9 @@ def _render_row(row, forwarder) -> tuple[list, Optional[str]]:
     interval = None
     if low is not None or high is not None:
         interval = RateInterval(_number(low, "pdr_low_pps"), _number(high, "pdr_high_pps"))
-    stats = row["stats"]
+    stats, dispersion = row["stats"], ["", ""]
     if stats is not None:
-        stats = [_number(stats[k], k) for k in ("cv_percent", "ci95_percent")]
+        dispersion = [f"{_number(stats[k], k):.4f}" for k in ("cv_percent", "ci95_percent")]
     flags, error = row["flags"], row["error"]
     if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
         raise ValueError(f"flags is not a list of strings: {flags!r}")
@@ -458,8 +458,7 @@ def _render_row(row, forwarder) -> tuple[list, Optional[str]]:
         f"{interval.low_pps:.2f}" if interval else "",
         f"{interval.high_pps:.2f}" if interval else "",
         f"{interval.midpoint_pps / 1e3:.2f}" if interval else "",
-        f"{stats[0]:.4f}" if stats else "",
-        f"{stats[1]:.4f}" if stats else "",
+        *dispersion,
         ";".join(flags) if flags else (error or ""),
     ]
     line = None

@@ -112,7 +112,7 @@ class TestRun:
         tb.write_text(TESTBED)
         assert run_cmd(bad, tb, tmp_path / "o") == EXIT_CONFIG
 
-    def test_partial_campaign(self, tmp_path):
+    def test_partial_campaign(self, tmp_path, capsys):
         # End.AD is in the catalog but not measurable: its entry errors
         # while the End one completes
         exp = tmp_path / "e.yaml"
@@ -120,6 +120,16 @@ class TestRun:
         tb = tmp_path / "t.yaml"
         tb.write_text(TESTBED)
         assert run_cmd(exp, tb, tmp_path / "o") == EXIT_PARTIAL
+        # report shows the error in the table, and in the CSV's flags column
+        campaign = str(tmp_path / "o" / "campaign.json")
+        capsys.readouterr()
+        assert main(["report", "--campaign", campaign]) == EXIT_OK
+        error = "End.AD is not measurable: no semantics/recipe"
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"End.AD: ERROR: {error}"
+        assert lines[1].startswith("End: [")
+        assert main(["report", "--campaign", campaign, "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1] == f"End.AD,sim,,,,,,{error}"
 
     def test_frame_below_ethernet_minimum_is_a_per_behavior_error(self, tmp_path):
         # a 40 B inner IPv4 packet makes a 54 B plain frame, too small for

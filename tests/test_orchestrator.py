@@ -696,6 +696,62 @@ def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
     _assert_kept_runs(entry, (search,) * runs, per_search, rates, fail_at)
 
 
+# A stored campaign with one End row, and any JSON shape in its place or at
+# any key report reads.
+STORED_CAMPAIGN = {
+    "forwarder": "sim",
+    "behaviors": [
+        {
+            "behavior": "End",
+            "pdr_low_pps": 706129.8076923077,
+            "pdr_high_pps": 759250.5151098901,
+            "flags": ["below-search-floor"],
+            "stats": {"cv_percent": 0.5, "ci95_percent": 0.4},
+            "error": None,
+        }
+    ],
+}
+CAMPAIGN_PATHS = [
+    ("forwarder",),
+    ("behaviors",),
+    ("behaviors", 0),
+    *(("behaviors", 0, key) for key in STORED_CAMPAIGN["behaviors"][0]),
+    ("behaviors", 0, "stats", "cv_percent"),
+    ("behaviors", 0, "stats", "ci95_percent"),
+]
+JSON_SHAPES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+@given(data=st.data())
+def test_any_stored_campaign_renders_or_is_a_config_error(fmt, data):
+    assert render_campaign(STORED_CAMPAIGN, fmt)
+    if data.draw(st.booleans()):
+        doc = data.draw(JSON_SHAPES)
+    else:
+        doc = copy.deepcopy(STORED_CAMPAIGN)
+        *path, key = data.draw(st.sampled_from(CAMPAIGN_PATHS))
+        node = doc
+        for step in path:
+            node = node[step]
+        if data.draw(st.booleans()):
+            node[key] = data.draw(JSON_SHAPES)
+        else:
+            del node[key]
+    try:
+        text = render_campaign(doc, fmt)
+    except ConfigError as exc:
+        assert str(exc).startswith("campaign: malformed document: ")
+        return
+    assert isinstance(text, str)
+
+
 class TestCampaignSerialization:
     def result(self):
         experiment = parse_experiment_config(EXPERIMENT_YAML)
