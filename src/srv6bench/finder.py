@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ExperimentAbortedError, Srv6BenchError
 from .ratemath import SummaryStats, delivery_ratio, summarize, t_95
@@ -98,8 +98,9 @@ class RateInterval:
         return (self.low_pps + self.high_pps) / 2.0
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
+    """One probed rate. A named tuple: the search builds one per probe."""
+
     tx_rate_pps: float
     delivery_ratio: float
     decision: str
@@ -139,15 +140,17 @@ def _stands_alone(dr: float, pass_mark: float, near_band: float) -> bool:
 
 
 def _decided(drs: list[float], pass_mark: float) -> bool:
-    """Whether at least MIN_DECIDING delivery ratios put their mean farther
-    from the pass mark than its 95% Student-t half-width t * s / sqrt(n)."""
+    """Whether two or more delivery ratios put their mean farther from the
+    pass mark than its 95% Student-t half-width t * s / sqrt(n)."""
     n = len(drs)
-    if n < MIN_DECIDING:
-        return False
-    # deviations from the first DR, so that equal DRs have s = 0 exactly
-    devs = [x - drs[0] for x in drs]
+    first = drs[0]
+    if drs.count(first) == n:  # equal DRs: the test below with s = 0
+        gap = first - pass_mark
+        return gap * gap * n * (n - 1) > 0.0
+    # deviations from the first DR lose less to rounding than the DRs would
+    devs = [x - first for x in drs]
     mean_dev = math.fsum(devs) / n
-    gap = drs[0] - pass_mark + mean_dev
+    gap = first - pass_mark + mean_dev
     squares = math.fsum((d - mean_dev) ** 2 for d in devs)
     return gap * gap * n * (n - 1) > t_95(n - 1) ** 2 * squares
 
@@ -171,8 +174,8 @@ def evaluate_point(
 
     Returns (delivery ratio, trials used).
     """
-    if tx_rate_pps <= 0:
-        raise ValueError("tx rate must be positive")
+    if not 0 < tx_rate_pps < math.inf:  # NaN fails too
+        raise ValueError("tx rate must be positive and finite")
     pass_mark = 1.0 - loss_threshold
     sample = driver.run_trial(tx_rate_pps, duration_s)
     dr = delivery_ratio(sample)
@@ -180,18 +183,21 @@ def evaluate_point(
         return dr, 1
 
     trials_used = 1
-    samples, drs = [sample], [dr]
+    rx_rates, drs = [sample.throughput_pps], [dr]
     for _ in range(policy.retry_cap):
-        while len(samples) < policy.repetitions and not _decided(drs, pass_mark):
+        while len(drs) < policy.repetitions and (
+            len(drs) < MIN_DECIDING or not _decided(drs, pass_mark)
+        ):
             sample = driver.run_trial(tx_rate_pps, duration_s)
-            samples.append(sample)
+            rx_rates.append(sample.throughput_pps)
             drs.append(delivery_ratio(sample))
             trials_used += 1
-        rx_rates = [s.throughput_pps for s in samples]
-        if summarize(rx_rates).cv_percent <= policy.max_rx_cv_percent:
+        # equal finite rx rates have a CV of exactly 0, which no cap is below
+        steady = rx_rates.count(rx_rates[0]) == len(rx_rates) and rx_rates[0] < math.inf
+        if steady or summarize(rx_rates).cv_percent <= policy.max_rx_cv_percent:
             # plain left-to-right addition on every Python (sum() compensates from 3.12)
             return reduce(operator.add, drs) / len(drs), trials_used
-        samples, drs = [], []
+        rx_rates, drs = [], []
     raise Srv6BenchError(
         f"rx rate CV stayed above {policy.max_rx_cv_percent}% "
         f"after {policy.retry_cap} batches"
@@ -244,10 +250,12 @@ def _confirm(driver, i, cfg, policy, trace) -> bool:
         return False
     passed = _probe(driver, screened.tx_rate_pps, cfg, policy, trace, screen=False)
     full = trace.entries.pop()
-    trace.entries[i] = replace(
-        full,
-        repetitions=screened.repetitions + full.repetitions,
-        testbed_s=screened.testbed_s + full.testbed_s,
+    trace.entries[i] = TraceEntry(
+        full.tx_rate_pps,
+        full.delivery_ratio,
+        full.decision,
+        screened.repetitions + full.repetitions,
+        screened.testbed_s + full.testbed_s,
     )
     return passed != (screened.decision == RAISE_LOW)
 
@@ -267,17 +275,17 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
     Returns the final (low, high).
     """
     pass_mark = 1.0 - cfg.loss_threshold
+    entries = trace.entries
     trust = True
     while True:
-        passed = [e.tx_rate_pps for e in trace.entries if e.decision == RAISE_LOW]
-        failed = [e.tx_rate_pps for e in trace.entries if e.decision == LOWER_HIGH]
-        low, high = max(passed, default=floor), min(failed, default=top)
-        bounds = [i for i, e in enumerate(trace.entries) if e.tx_rate_pps in (low, high)]
-        doubtful = [
-            i for i in bounds
-            if not _stands_alone(trace.entries[i].delivery_ratio, pass_mark, policy.near_band)
-        ]
-        if not trust and any(_confirm(driver, i, cfg, policy, trace) for i in doubtful):
+        low = max([e.tx_rate_pps for e in entries if e.decision == RAISE_LOW], default=floor)
+        high = min([e.tx_rate_pps for e in entries if e.decision == LOWER_HIGH], default=top)
+        # a confirmation rewrites only its own entry, so the others are read as they were
+        if not trust and any(
+            _confirm(driver, i, cfg, policy, trace)
+            for i in _bounds(entries, low, high)
+            if not _stands_alone(entries[i].delivery_ratio, pass_mark, policy.near_band)
+        ):
             continue
         while high - low > eps:
             tx = (low + high) / 2.0
@@ -285,10 +293,14 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
                 low = tx
             else:
                 high = tx
-        bounds = [i for i, e in enumerate(trace.entries) if e.tx_rate_pps in (low, high)]
-        if not any(_confirm(driver, i, cfg, policy, trace) for i in bounds):
+        if not any(_confirm(driver, i, cfg, policy, trace) for i in _bounds(entries, low, high)):
             return low, high
         trust = False
+
+
+def _bounds(entries, low, high) -> list[int]:
+    """Indices of the trace entries at the window's bounds, in trace order."""
+    return [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
 
 
 def _result(low, high, trace) -> FinderResult:

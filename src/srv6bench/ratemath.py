@@ -61,8 +61,8 @@ class TrialSample:
     duration_s: float
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:  # NaN fails too
+            raise ValueError("duration must be positive and finite")
         if self.rx_packets > self.tx_packets:
             raise ValueError("rx_packets cannot exceed tx_packets")
         if self.tx_packets < 0 or self.rx_packets < 0:

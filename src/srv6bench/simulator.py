@@ -68,9 +68,13 @@ class ForwarderModel:
 
 def delivery_model(model: ForwarderModel, behavior: BehaviorId, rate_pps: float) -> float:
     """Expected delivery ratio at a given offered rate."""
-    if rate_pps <= 0:
-        raise ValueError("rate must be positive")
-    c = model.capacity(behavior)
+    if not 0 < rate_pps < math.inf:  # NaN fails too
+        raise ValueError("rate must be positive and finite")
+    return _delivery(model, model.capacity(behavior), rate_pps)
+
+
+def _delivery(model: ForwarderModel, c: float, rate_pps: float) -> float:
+    """The delivery curve at a positive rate, for a behavior of capacity c."""
     l0 = model.loss_at_capacity
     if rate_pps <= c:
         return 1.0 - l0 * (rate_pps / c) ** model.curve_exponent
@@ -126,7 +130,7 @@ class SimDriver:
         if not satisfies(template, traffic_requirement(behavior)):
             raise Srv6BenchError(f"template does not satisfy the {behavior} traffic requirement")
         encode(template)  # a test packet the codec cannot write fails before any trial
-        model.capacity(behavior)
+        self._capacity = model.capacity(behavior)
         self.model = model
         self.behavior = behavior
         self.template = template
@@ -138,8 +142,8 @@ class SimDriver:
         """Offer traffic for a fixed duration and report what came back. A
         forwarded packet that encode refuses or decode does not give back
         fails the trial."""
-        if rate_pps <= 0 or duration_s <= 0:
-            raise ValueError("rate and duration must be positive")
+        if not (0 < rate_pps < math.inf and 0 < duration_s < math.inf):  # NaN fails too
+            raise ValueError("rate and duration must be positive and finite")
         behavior = self.behavior
         forwarded, _ = apply_behavior(behavior, self.template, self._config)
         try:
@@ -155,8 +159,8 @@ class SimDriver:
             p_out = 0
         else:
             model = self.model
-            expected = p_in * delivery_model(model, behavior, rate_pps)
+            expected = p_in * _delivery(model, self._capacity, rate_pps)
             if self._rng is not None:
                 expected *= 1.0 + self._rng.gauss(0.0, model.noise_sigma)
             p_out = min(max(round(expected), 0), p_in)
-        return TrialSample(tx_packets=p_in, rx_packets=p_out, duration_s=duration_s)
+        return TrialSample(p_in, p_out, duration_s)
