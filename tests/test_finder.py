@@ -4,14 +4,18 @@ the searches themselves."""
 
 import itertools
 import math
+import operator
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from srv6bench.catalog import BehaviorId, traffic_requirement
 from srv6bench.errors import ExperimentAbortedError, Srv6BenchError
 from srv6bench.finder import (
     FLAG_BELOW_SEARCH_FLOOR,
     FLAG_LINE_RATE_LIMITED,
+    MIN_DECIDING,
     RateInterval,
     SearchConfig,
     TrialPolicy,
@@ -21,7 +25,7 @@ from srv6bench.finder import (
     validate_pdr,
 )
 from srv6bench.packet import build_test_packet
-from srv6bench.ratemath import TrialSample, delivery_ratio
+from srv6bench.ratemath import TrialSample, delivery_ratio, summarize, t_95
 from srv6bench.simulator import ForwarderModel, SimDriver, analytic_pdr
 from conftest import SID1, SID2, LPR_64, CountingDriver
 
@@ -108,8 +112,10 @@ class TestEvaluatePoint:
         assert (dr, used) == (1.0, 1)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            evaluate_point(ScriptedDriver([]), 0.0, 10.0, 0.005, self.POLICY)
+        # NaN and infinity fail too, before any trial
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^tx rate must be positive and finite$"):
+                evaluate_point(ScriptedDriver([]), rate, 10.0, 0.005, self.POLICY)
 
     def test_seeded_noise_repetition_counts(self):
         # frozen model: at the analytic PDR the DR lands in the band and
@@ -143,6 +149,94 @@ class TestEvaluatePoint:
         with pytest.raises(Srv6BenchError, match="rx rate CV stayed above"):
             evaluate_point(d, rate, 10.0, 0.005, self.POLICY)
         assert d.trials == 15
+
+
+def reference_evaluate_point(driver, tx_rate_pps, duration_s, loss_threshold, policy):
+    """evaluate_point's rule written out plainly: a trial stands alone at
+    DR 1 or outside the near band; otherwise each batch runs until
+    MIN_DECIDING or more DRs pass the Student-t stop or the batch holds
+    policy.repetitions, its mean DR (added left to right) is taken if
+    summarize's CV of its rx rates is within the cap, and after
+    policy.retry_cap batches the point fails."""
+    pass_mark = 1.0 - loss_threshold
+
+    def decided(drs):
+        n = len(drs)
+        if n < MIN_DECIDING:
+            return False
+        devs = [x - drs[0] for x in drs]
+        mean_dev = math.fsum(devs) / n
+        gap = drs[0] - pass_mark + mean_dev
+        squares = math.fsum((d - mean_dev) ** 2 for d in devs)
+        return gap * gap * n * (n - 1) > t_95(n - 1) ** 2 * squares
+
+    sample = driver.run_trial(tx_rate_pps, duration_s)
+    dr = delivery_ratio(sample)
+    if dr == 1.0 or abs(dr - pass_mark) > policy.near_band:
+        return dr, 1
+    trials_used, samples, drs = 1, [sample], [dr]
+    for _ in range(policy.retry_cap):
+        while len(samples) < policy.repetitions and not decided(drs):
+            samples.append(driver.run_trial(tx_rate_pps, duration_s))
+            drs.append(delivery_ratio(samples[-1]))
+            trials_used += 1
+        if summarize([s.throughput_pps for s in samples]).cv_percent <= policy.max_rx_cv_percent:
+            return reduce(operator.add, drs) / len(drs), trials_used
+        samples, drs = [], []
+    raise Srv6BenchError(
+        f"rx rate CV stayed above {policy.max_rx_cv_percent}% after {policy.retry_cap} batches"
+    )
+
+
+@st.composite
+def scripted_points(draw):
+    """A policy, a loss threshold and enough scripted (tx, rx) trials for
+    the longest run of batches. The rx counts sit at the pass mark, the
+    near-band edges (one packet either side) and DR 1, repeat exactly, or
+    spread by up to 3 % of tx, so batches stop early or run full and land
+    on both sides of the rx CV cap."""
+    policy = TrialPolicy(
+        near_band=draw(st.sampled_from([0.0025, 0.01])),
+        repetitions=draw(st.integers(2, 6)),
+        max_rx_cv_percent=draw(st.sampled_from([0.0, 0.05, 1.0])),
+        retry_cap=draw(st.integers(1, 3)),
+    )
+    loss_threshold = draw(st.sampled_from([0.0, 0.001, 0.005, 0.02]))
+    tx = draw(st.integers(1, 10**7))
+    pass_mark = 1.0 - loss_threshold
+    marks = [pass_mark, pass_mark - policy.near_band, pass_mark + policy.near_band, 1.0]
+    anchors = sorted({min(tx, max(0, round(tx * m) + d)) for m in marks for d in (-1, 0, 1)})
+    spread = max(1, tx * 3 // 100)
+    rx = st.sampled_from(anchors) | st.integers(anchors[0] - spread, anchors[-1]).map(
+        lambda r: min(tx, max(0, r))
+    )
+    trials = policy.retry_cap * policy.repetitions
+    repeat = draw(st.booleans())
+    if repeat:  # one count for every trial: equal DRs
+        rxs = [draw(rx)] * trials
+    else:
+        rxs = draw(st.lists(rx, min_size=trials, max_size=trials))
+    return policy, loss_threshold, [(tx, r) for r in rxs]
+
+
+def _outcome(evaluate, policy, loss_threshold, script):
+    driver = ScriptedDriver(script)
+    try:
+        result = evaluate(driver, 1000.0, 10.0, loss_threshold, policy)
+    except Srv6BenchError as exc:
+        result = (type(exc), str(exc))
+    return result, len(driver.calls)
+
+
+@given(point=scripted_points())
+@example(point=(TrialPolicy(), 0.005, [(100000, 99500)] * 15))  # equal DRs on the pass mark
+@example(point=(TrialPolicy(), 0.005, [(100000, 99600), (100000, 99400)] * 8))
+@example(point=(TrialPolicy(), 0.005, [(100000, 99500), (100000, 70000)] * 8))  # CV cap exhausted
+def test_evaluate_point_follows_the_written_out_rule(point):
+    policy, loss_threshold, script = point
+    got = _outcome(evaluate_point, policy, loss_threshold, script)
+    want = _outcome(reference_evaluate_point, policy, loss_threshold, script)
+    assert got == want
 
 
 class TestBinarySearch:
@@ -485,6 +579,10 @@ class TestValidatePdr:
 # is 1 trial, a near-band rate its screen plus 3 full-duration trials, and
 # a final bound a screen decided its screen plus 1 confirming trial. A
 # change to either search's probe order or trial count shows up here.
+# "noisy_end" adds the shipped End curve at sigma 0.002, recorded with the
+# search as it stands: its near-band batches stop after 4 or run to 5
+# full-duration trials on fresh noise draws, so a change that moves a
+# draw or a batch stop shows up here too.
 PINNED_TRACES = {
     "mid_range": (
         (900_000, {}),
@@ -544,6 +642,29 @@ PINNED_TRACES = {
             (11979166.666666668, "raise-low", 1),
             (12117034.31372549, "raise-low", 1),
             (12185968.137254901, "raise-low", 2),
+        ],
+    ),
+    "noisy_end": (
+        (900_000, {"noise_sigma": 0.002, "seed": 9}),
+        [
+            (6188725.490196079, "lower-high", 1),
+            (3155637.254901961, "lower-high", 1),
+            (1639093.1372549022, "lower-high", 1),
+            (880821.0784313726, "lower-high", 1),
+            (501685.0490196079, "raise-low", 1),
+            (691253.0637254902, "raise-low", 5),
+            (596469.056372549, "raise-low", 1),
+            (786037.0710784314, "lower-high", 6),
+        ],
+        [
+            (122549.01960784315, "raise-low", 1),
+            (245098.0392156863, "raise-low", 1),
+            (490196.0784313726, "raise-low", 1),
+            (980392.1568627452, "lower-high", 1),
+            (735294.1176470589, "raise-low", 6),
+            (612745.0980392158, "raise-low", 5),
+            (551470.5882352942, "raise-low", 1),
+            (857843.137254902, "lower-high", 6),
         ],
     ),
 }

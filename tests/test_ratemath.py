@@ -72,8 +72,10 @@ class TestTrialSample:
             TrialSample(tx_packets=10, rx_packets=11, duration_s=1.0)
 
     def test_duration_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TrialSample(tx_packets=10, rx_packets=5, duration_s=0)
+        # NaN and infinity fail too: a NaN duration would give a NaN throughput
+        for duration in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^duration must be positive and finite$"):
+                TrialSample(tx_packets=10, rx_packets=5, duration_s=duration)
 
 
 class TestDeliveryRatio:

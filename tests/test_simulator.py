@@ -62,6 +62,11 @@ class TestDeliveryCurve:
         drs = [delivery_model(m, END, r) for r in rates]
         assert all(a >= b for a, b in zip(drs, drs[1:]))
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="^rate must be positive and finite$"):
+            delivery_model(model(), END, rate)
+
 
 class TestAnalyticPdr:
     def test_ramp_inversion(self):
@@ -115,6 +120,19 @@ class TestRunTrial:
         misnested = PacketTemplate((*outer, payload, inner))
         with pytest.raises(Srv6BenchError, match="^payload must be the innermost layer$"):
             SimDriver(model(), END, misnested)
+
+    @pytest.mark.parametrize(
+        "rate, duration",
+        [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+         (1e6, 0.0), (1e6, -1.0), (1e6, math.nan), (1e6, math.inf)],
+    )
+    def test_rate_and_duration_must_be_positive_and_finite(self, end_template, rate, duration):
+        # checked as `<= 0`, an infinite rate raised OverflowError from
+        # round(), a NaN rate round()'s own ValueError, and a NaN duration
+        # got through
+        driver = SimDriver(model(), END, end_template)
+        with pytest.raises(ValueError, match="^rate and duration must be positive and finite$"):
+            driver.run_trial(rate, duration)
 
     def test_template_mismatch_rejected(self, dt6_template):
         # a decap packet (Segments Left 0) cannot exercise End; the driver
