@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import ExperimentAbortedError, Srv6BenchError
 from .ratemath import SummaryStats, delivery_ratio, summarize, t_95
@@ -98,9 +98,8 @@ class RateInterval:
         return (self.low_pps + self.high_pps) / 2.0
 
 
-class TraceEntry(NamedTuple):
-    """One probed rate. A named tuple: the search builds one per probe."""
-
+@dataclass(frozen=True)
+class TraceEntry:
     tx_rate_pps: float
     delivery_ratio: float
     decision: str
@@ -144,9 +143,6 @@ def _decided(drs: list[float], pass_mark: float) -> bool:
     pass mark than its 95% Student-t half-width t * s / sqrt(n)."""
     n = len(drs)
     first = drs[0]
-    if drs.count(first) == n:  # equal DRs: the test below with s = 0
-        gap = first - pass_mark
-        return gap * gap * n * (n - 1) > 0.0
     # deviations from the first DR lose less to rounding than the DRs would
     devs = [x - first for x in drs]
     mean_dev = math.fsum(devs) / n
@@ -251,11 +247,11 @@ def _confirm(driver, i, cfg, policy, trace) -> bool:
     passed = _probe(driver, screened.tx_rate_pps, cfg, policy, trace, screen=False)
     full = trace.entries.pop()
     trace.entries[i] = TraceEntry(
-        full.tx_rate_pps,
-        full.delivery_ratio,
-        full.decision,
-        screened.repetitions + full.repetitions,
-        screened.testbed_s + full.testbed_s,
+        tx_rate_pps=full.tx_rate_pps,
+        delivery_ratio=full.delivery_ratio,
+        decision=full.decision,
+        repetitions=screened.repetitions + full.repetitions,
+        testbed_s=screened.testbed_s + full.testbed_s,
     )
     return passed != (screened.decision == RAISE_LOW)
 

@@ -142,7 +142,9 @@ class SimDriver:
         """Offer traffic for a fixed duration and report what came back. A
         forwarded packet that encode refuses or decode does not give back
         fails the trial."""
-        if not (0 < rate_pps < math.inf and 0 < duration_s < math.inf):  # NaN fails too
+        offered = rate_pps * duration_s
+        # two positive numbers with a finite product are finite; NaN fails too
+        if not (rate_pps > 0 and duration_s > 0 and offered < math.inf):
             raise ValueError("rate and duration must be positive and finite")
         behavior = self.behavior
         forwarded, _ = apply_behavior(behavior, self.template, self._config)
@@ -154,7 +156,7 @@ class SimDriver:
             raise Srv6BenchError(
                 f"{behavior} does not conform: its forwarded packet does not survive encode/decode"
             )
-        p_in = round(rate_pps * duration_s)
+        p_in = round(offered)
         if _outermost_hop_limit(forwarded) == 0:
             p_out = 0
         else:

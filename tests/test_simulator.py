@@ -124,12 +124,13 @@ class TestRunTrial:
     @pytest.mark.parametrize(
         "rate, duration",
         [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
-         (1e6, 0.0), (1e6, -1.0), (1e6, math.nan), (1e6, math.inf)],
+         (1e6, 0.0), (1e6, -1.0), (1e6, math.nan), (1e6, math.inf),
+         (1e300, 1e300)],
     )
     def test_rate_and_duration_must_be_positive_and_finite(self, end_template, rate, duration):
         # checked as `<= 0`, an infinite rate raised OverflowError from
         # round(), a NaN rate round()'s own ValueError, and a NaN duration
-        # got through
+        # got through; a finite pair whose product overflows raised OverflowError
         driver = SimDriver(model(), END, end_template)
         with pytest.raises(ValueError, match="^rate and duration must be positive and finite$"):
             driver.run_trial(rate, duration)
