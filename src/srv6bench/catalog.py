@@ -92,6 +92,8 @@ class TrafficRequirement:
 
 @dataclass(frozen=True)
 class BehaviorSpec:
+    """A catalog entry: a behavior, its category, its support and its test traffic."""
+
     id: BehaviorId
     category: Category
     linux_supported: bool

@@ -8,7 +8,9 @@ adapter over the library API.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +71,24 @@ def _cmd_packet(args) -> int:
     return EXIT_OK
 
 
+def _trace_name(behavior: BehaviorId) -> str:
+    return f"trace_{behavior.value.replace('.', '_')}.json"
+
+
+# every file `run` writes; nothing else in --out is touched
+_OUTPUT_NAMES = frozenset(
+    ("campaign.json", "campaign.csv", "plot_data.csv", *map(_trace_name, BehaviorId))
+)
+
+
+def _clear_outputs(out_dir: Path) -> None:
+    """Remove an earlier campaign's outputs from out_dir. No stale file
+    survives a re-run, and every output is written as a new file, which is
+    cheaper than truncating and rewriting one in place."""
+    for name in _OUTPUT_NAMES.intersection(os.listdir(out_dir)):
+        os.unlink(out_dir / name)
+
+
 def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
     doc = result.to_json_dict()
     (out_dir / "campaign.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
@@ -83,10 +103,9 @@ def _write_outputs(result: CampaignResult, out_dir: Path) -> None:
                     f"{t.delivery_ratio:.6f},{t.tx_rate_pps * t.delivery_ratio:.2f}"
                 )
         if entry.traces:
-            safe = entry.behavior.value.replace(".", "_")
             # one run per line: without indent json.dumps uses the C encoder
             runs = ",\n".join(json.dumps(t.records()) for t in entry.traces)
-            (out_dir / f"trace_{safe}.json").write_text(
+            (out_dir / _trace_name(entry.behavior)).write_text(
                 "[\n" + runs + "\n]\n", encoding="utf-8"
             )
     (out_dir / "plot_data.csv").write_text("\n".join(plot_lines) + "\n", encoding="utf-8")
@@ -103,10 +122,14 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        _clear_outputs(out_dir)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs: {exc}") from None
     result = run_campaign(experiment, testbed)
-    _write_outputs(result, out_dir)
+    try:
+        _write_outputs(result, out_dir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from None
     rate_name = experiment.experiment_type.upper()
     for entry in result.entries:
         if entry.error:
@@ -167,9 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Srv6BenchError as exc:

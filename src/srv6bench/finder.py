@@ -82,6 +82,8 @@ class TrialPolicy:
 
 @dataclass(frozen=True)
 class RateInterval:
+    """An offered-rate interval in pps that brackets the PDR."""
+
     low_pps: float
     high_pps: float
 
@@ -100,6 +102,8 @@ class RateInterval:
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """One probed rate of a search: its delivery ratio, decision and trials."""
+
     tx_rate_pps: float
     delivery_ratio: float
     decision: str
@@ -110,6 +114,8 @@ class TraceEntry:
 
 @dataclass
 class FinderTrace:
+    """The probed rates of one search, in the order it probed them."""
+
     entries: list[TraceEntry] = field(default_factory=list)
 
     def records(self) -> list[dict]:
@@ -128,6 +134,8 @@ class FinderTrace:
 
 @dataclass(frozen=True)
 class FinderResult:
+    """One search's interval, its flags and its trace."""
+
     interval: RateInterval
     flags: tuple[str, ...]
     trace: FinderTrace
@@ -374,6 +382,8 @@ def find_pdr_legacy(
 
 @dataclass(frozen=True)
 class ValidationResult:
+    """Statistics over repeated searches' midpoints, and every search's result."""
+
     stats: SummaryStats
     results: tuple[FinderResult, ...]
 

@@ -166,6 +166,8 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> tuple[tuple[str, st
 
 @dataclass(frozen=True)
 class PacketOverrides:
+    """The experiment's changes to each behavior's test packet."""
+
     inner_size: Optional[int] = None
 
     def __post_init__(self):
@@ -175,6 +177,8 @@ class PacketOverrides:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed experiment file: what to measure, and how."""
+
     behaviors: tuple[BehaviorId, ...]
     experiment_type: str = "pdr"  # pdr | ndr
     algorithm: str = "binary"  # binary | legacy
@@ -202,6 +206,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TestbedConfig:
+    """A parsed testbed file: the forwarder and the link to it."""
+
     forwarder_kind: str
     link: LinkSpec
     model: Optional[ForwarderModel] = None
@@ -377,6 +383,8 @@ class RecordingExecutor:
 
 @dataclass(frozen=True)
 class BehaviorResult:
+    """One behavior's campaign outcome: its interval, stats and traces, or its error."""
+
     behavior: BehaviorId
     frame_size: Optional[int] = None
     line_packet_rate_pps: Optional[float] = None
@@ -389,6 +397,8 @@ class BehaviorResult:
 
 @dataclass
 class CampaignResult:
+    """Every behavior's result of one campaign, in the experiment's order."""
+
     forwarder_kind: str
     entries: list[BehaviorResult]
     version: str = __version__

@@ -96,6 +96,8 @@ SID_PLAN = (Sid.from_str(ADDRESS_PLAN["sid1"]), Sid.from_str(ADDRESS_PLAN["sid2"
 
 @dataclass(frozen=True)
 class Ethernet:
+    """An Ethernet II header."""
+
     dst: bytes = SUT_MAC
     src: bytes = TESTER_MAC
     ethertype: int = ETHERTYPE_IPV6
@@ -107,6 +109,8 @@ class Ethernet:
 
 @dataclass(frozen=True)
 class IPv6Header:
+    """A fixed 40-byte IPv6 header; the payload length is computed on encode."""
+
     next_header: int
     src: bytes = INNER_SRC6
     dst: bytes = INNER_DST6
@@ -158,6 +162,8 @@ class SegmentRoutingHeader:
 
 @dataclass(frozen=True)
 class IPv4Header:
+    """A 20-byte IPv4 header without options; length and checksum are computed on encode."""
+
     protocol: int
     src: bytes = INNER_SRC4
     dst: bytes = INNER_DST4
@@ -176,6 +182,8 @@ class IPv4Header:
 
 @dataclass(frozen=True)
 class Payload:
+    """The innermost bytes of a packet."""
+
     data: bytes
 
 
@@ -557,6 +565,8 @@ XCONNECT = "xconnect"
 
 @dataclass(frozen=True)
 class ForwardAction:
+    """The forwarding decision after a behavior: FIB lookup or cross-connect, and its target."""
+
     kind: str
     target: str
 

@@ -5,6 +5,7 @@ import re
 import pytest
 import yaml
 
+from srv6bench import cli
 from srv6bench.catalog import BehaviorId, catalog
 from srv6bench.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from srv6bench.orchestrator import (
@@ -244,6 +245,63 @@ class TestRun:
         assert "PDR midpoint" not in captured.out
         assert out.read_text() == "keep"
 
+    def test_rerun_leaves_only_its_own_campaigns_files(self, configs, tmp_path):
+        exp, tb = configs
+        out = tmp_path / "out"
+        assert run_cmd(exp, tb, out) == EXIT_OK
+        assert (out / "trace_H_Encaps.json").exists()
+        exp.write_text("behaviors: [End]\nruns: 2\n")
+        assert run_cmd(exp, tb, out) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == [
+            "campaign.csv", "campaign.json", "plot_data.csv", "trace_End.json",
+        ]
+        # what a re-run writes is what a run into a new directory writes
+        assert run_cmd(exp, tb, tmp_path / "fresh") == EXIT_OK
+        for name in ("campaign.csv", "plot_data.csv", "trace_End.json"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_rerun_keeps_files_run_does_not_write(self, configs, tmp_path):
+        exp, tb = configs
+        out = tmp_path / "out"
+        assert run_cmd(exp, tb, out) == EXIT_OK
+        (out / "notes.txt").write_text("lab notes")
+        (out / "trace_End.json.bak").write_text("a copy")
+        assert run_cmd(exp, tb, out) == EXIT_OK
+        assert (out / "notes.txt").read_text() == "lab notes"
+        assert (out / "trace_End.json.bak").read_text() == "a copy"
+
+    def test_unwritable_output_exits_2_before_the_campaign(
+        self, configs, tmp_path, capsys, monkeypatch
+    ):
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("run_campaign called")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        exp, tb = configs
+        out = tmp_path / "out"
+        (out / "campaign.json").mkdir(parents=True)
+        assert run_cmd(exp, tb, out) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write outputs:")
+        assert captured.out == ""
+        assert (out / "campaign.json").is_dir()
+
+    def test_output_unwritable_after_the_campaign_exits_2(
+        self, configs, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+
+        def then_block_plot_data(*args, **kwargs):
+            result = run_campaign(*args, **kwargs)
+            (out / "plot_data.csv").mkdir()
+            return result
+
+        monkeypatch.setattr(cli, "run_campaign", then_block_plot_data)
+        assert run_cmd(*configs, out) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write outputs:")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "experiment, testbed, where",
         [
@@ -429,18 +487,23 @@ PINNED_OUTPUTS = {
 }
 
 
+def digests(out):
+    """sha256 of each file in out, campaign.json's timestamps blanked."""
+    found = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if path.name == "campaign.json":
+            data = re.sub(rb'"(started_at|finished_at)": "[^"]*"', rb'"\1": ""', data)
+        found[path.name] = hashlib.sha256(data).hexdigest()
+    return found
+
+
 @pytest.mark.parametrize(
     "noise_sigma, pinned", [("0.0", "noiseless"), ("0.002", "noisy")], ids=["noiseless", "noisy"]
 )
 def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, capsys):
     out = run_shipped(noise_sigma, tmp_path)
-    digests = {}
-    for path in out.iterdir():
-        data = path.read_bytes()
-        if path.name == "campaign.json":
-            data = re.sub(rb'"(started_at|finished_at)": "[^"]*"', rb'"\1": ""', data)
-        digests[path.name] = hashlib.sha256(data).hexdigest()
-    assert digests == PINNED_OUTPUTS[pinned]
+    assert digests(out) == PINNED_OUTPUTS[pinned]
     # in every run, the highest passed and the lowest failed rate, the
     # bounds the run reports, each had a full-duration trial
     full_s = yaml.safe_load((SHIPPED / "experiment.sim.yaml").read_text())["search"][
@@ -455,6 +518,18 @@ def test_shipped_sim_campaign_outputs_are_pinned(noise_sigma, pinned, tmp_path, 
             assert low["testbed_s"] >= full_s and high["testbed_s"] >= full_s
     if pinned == "noisy":
         assert "CV 0.000%" not in capsys.readouterr().out
+
+
+def test_main_serves_calls_after_a_rejected_command_line(tmp_path):
+    # one parser serves every call in the process
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    assert digests(run_shipped("0.0", first)) == PINNED_OUTPUTS["noiseless"]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--experiment", "e.yaml", "--testbed", "t.yaml"])
+    assert exc.value.code == 2
+    assert digests(run_shipped("0.0", second)) == PINNED_OUTPUTS["noiseless"]
 
 
 def test_run_prints_the_mean_its_cv_and_ci95_describe(tmp_path, capsys):
