@@ -81,10 +81,19 @@ _OUTPUT_NAMES = frozenset(
 )
 
 
+def _check_outputs(out_dir: Path) -> None:
+    """Refuse out_dir before a campaign if a name `run` writes is taken by
+    something other than a regular file, which it could not replace."""
+    for name in sorted(_OUTPUT_NAMES.intersection(os.listdir(out_dir))):
+        if not (out_dir / name).is_file():
+            raise ConfigError(f"cannot write outputs: {out_dir / name} is not a regular file")
+
+
 def _clear_outputs(out_dir: Path) -> None:
-    """Remove an earlier campaign's outputs from out_dir. No stale file
-    survives a re-run, and every output is written as a new file, which is
-    cheaper than truncating and rewriting one in place."""
+    """Remove an earlier campaign's outputs from out_dir once the new
+    campaign has finished, so a stopped run leaves the earlier files alone.
+    No stale file survives a re-run, and every output is written as a new
+    file, which is cheaper than truncating and rewriting one in place."""
     for name in _OUTPUT_NAMES.intersection(os.listdir(out_dir)):
         os.unlink(out_dir / name)
 
@@ -122,11 +131,12 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _clear_outputs(out_dir)
+        _check_outputs(out_dir)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs: {exc}") from None
     result = run_campaign(experiment, testbed)
     try:
+        _clear_outputs(out_dir)
         _write_outputs(result, out_dir)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs: {exc}") from None

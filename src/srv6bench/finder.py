@@ -31,8 +31,10 @@ FLAG_BELOW_SEARCH_FLOOR = "below-search-floor"
 
 # A screening trial lasts trial_duration_s / SCREEN_DIVISOR.
 SCREEN_DIVISOR = 10
-# Fewest near-band trials whose mean DR may decide a rate.
-MIN_DECIDING = 3
+# Fewest near-band trials whose mean DR may decide a rate: two is the
+# fewest whose spread the Student-t stop can estimate, so a noiseless
+# near-band rate settles after two full-duration trials.
+MIN_DECIDING = 2
 
 
 @dataclass(frozen=True)
@@ -170,8 +172,10 @@ def evaluate_point(
 
     A single trial stands when its DR is 1 or comfortably away from the
     threshold. Inside the near band the trial is repeated until the DRs
-    decide the threshold (at least MIN_DECIDING of them, their mean
+    decide the threshold (at least MIN_DECIDING = 2 of them, their mean
     outside its 95% Student-t interval) or policy.repetitions have run.
+    Two equal DRs off the pass mark decide it; two that differ must put
+    their mean more than t_95(1) = 12.706 standard errors from it.
     The mean DR is accepted only if the CV of the received rates stays
     under the cap; the whole batch is retried up to policy.retry_cap
     times before giving up.

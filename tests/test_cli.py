@@ -270,6 +270,20 @@ class TestRun:
         assert (out / "notes.txt").read_text() == "lab notes"
         assert (out / "trace_End.json.bak").read_text() == "a copy"
 
+    def test_stopped_rerun_keeps_the_previous_campaign(self, configs, tmp_path, monkeypatch):
+        exp, tb = configs
+        out = tmp_path / "out"
+        assert run_cmd(exp, tb, out) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_campaign", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cmd(exp, tb, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_unwritable_output_exits_2_before_the_campaign(
         self, configs, tmp_path, capsys, monkeypatch
     ):
@@ -465,22 +479,27 @@ def run_shipped(noise_sigma, tmp_path):
 # Re-recorded when CI95 took the Student-t factor t_95(n - 1): both
 # campaign.json files changed in "ci95_model", and the noisy campaign.json
 # and campaign.csv in every ci95_percent (x 2.2622 / 1.96 at 10 runs).
+# Re-recorded when two full-duration trials came to decide a near-band rate
+# (MIN_DECIDING 3 -> 2): every noiseless trace file changed in the
+# repetitions and testbed_s of its near-band rates, and every noisy output
+# but two trace files changed, because the searches take fewer noise draws.
+# The noiseless campaign.csv, campaign.json and plot_data.csv did not change.
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
         "campaign.json": "5788b866100a2d47daab352a60206c65bd1967498441fece99e283926361113b",
         "plot_data.csv": "3de43cd009041070fb435f59fea170a8897608f92303b363bcf90dee9d83a2ed",
-        "trace_End.json": "57ce1b2ab624922e8d5cc83e507db2006165f7becfbca00e4d67823153c88c4a",
-        "trace_End_DT6.json": "ef0ba785273d8049b668d25c28768aacfa6721859811f3829f748307178c1e98",
-        "trace_H_Encaps.json": "87c0068e355b30fc27e35d3844d1743f362d0006a7359a9858d3415335d5210a",
-        "trace_PlainIPv6.json": "7760d87be462f2c7cdf19de26f8c8d9898c758609c5948ce19feb96ddfc92511",
+        "trace_End.json": "8f56d9dedee031c5ba89d16dbd10de247eb5a3f293e0f8fad5d567c45ccadb3b",
+        "trace_End_DT6.json": "1e3c2fe7e233c8be64cecfbbdd0f0c128c84f7f3ed9254d75f034f372ef4c040",
+        "trace_H_Encaps.json": "651adc59ad349f76e42b1ae4824dc9be900be877ebad356095c92ae0e370323b",
+        "trace_PlainIPv6.json": "6a8fac799d498af9bf6889b86ba5d55b6ec66b6f7c64437e720359887f68f440",
     },
     "noisy": {
-        "campaign.csv": "907c42ce7fe1d162237db121a26d416ebcae750206432286696e18a44554067c",
-        "campaign.json": "5f2b1a8a810bdf05b6e89af93f364576aceabce085f8c7f2a8ea8fba622dd659",
-        "plot_data.csv": "802a3606005e20369d74ca1ab8ce1a063e6d1ab166ac53067650cccd280e0f33",
-        "trace_End.json": "eeec510348ff1d3810e1b89a8bda324609fd0dcd3cce31f1d4e144e9a90863e0",
-        "trace_End_DT6.json": "e7389653af16a1dca933e93dd08d936fbb8837e34f409cc766f59355c3d3fb6e",
+        "campaign.csv": "15024ff3d67ce8685aa4c0342ebf23a6eed5244b90bc4f5774d3bcc1f813a747",
+        "campaign.json": "aae349fe3f30f4d7dcfcc8998d6e759a62dea2f92f9b1f3c5d650f5c4f268182",
+        "plot_data.csv": "5946e50b9778c4813e857f17c77eb254a6f3b006a30900164fb41627e966533e",
+        "trace_End.json": "35aad69b3e14aed98820797bb87338dd3e4080670bf77c32812b6484ff549ea0",
+        "trace_End_DT6.json": "d3bdad0d3f731de5216a61d98f6a3d8f5b8a9cbe21bb9c7b17b938207cd40fdd",
         "trace_H_Encaps.json": "f9a6b5b9d20c7f60bd8614c4346bab641d0ec55015e1811aebde0e9c4cbf10ef",
         "trace_PlainIPv6.json": "30644e56125614ef6f566bbdc67316f31e47e30b90c604714bc0cc61b629e042",
     },

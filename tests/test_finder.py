@@ -84,18 +84,18 @@ class TestEvaluatePoint:
         assert dr == pytest.approx(0.995)
 
     @pytest.mark.parametrize("rx", [99600, 99400], ids=["pass", "fail"])
-    def test_noiseless_near_band_rate_stops_after_three(self, rx):
-        # equal DRs have no spread, so three of them decide the threshold
+    def test_noiseless_near_band_rate_stops_after_two(self, rx):
+        # equal DRs have no spread, so two of them decide the threshold
         d = ScriptedDriver([(100000, rx)] * 5)
         dr, used = evaluate_point(d, 100.0, 10.0, 0.005, self.POLICY)
-        assert used == 3
+        assert used == 2
         assert dr == pytest.approx(rx / 100000)
 
-    def test_near_band_rate_of_the_quickstart_model_takes_three_trials(self):
+    def test_near_band_rate_of_the_quickstart_model_takes_two_trials(self):
         d = CountingDriver(sim_driver(900_000))
         dr, used = evaluate_point(d, 691253.0637254902, 10.0, 0.005, self.POLICY)
         assert abs(dr - 0.995) <= self.POLICY.near_band
-        assert used == d.trials == 3
+        assert used == d.trials == 2
 
     def test_unstable_batches_exhaust_and_raise(self):
         # rx rates with ~30% swing keep the CV above the 1% cap in every
@@ -129,6 +129,20 @@ class TestEvaluatePoint:
         d2 = SimDriver(m, END, TEMPLATE)
         _, used2 = evaluate_point(d2, rate * 0.5, 10.0, 0.005, self.POLICY)
         assert used2 == 1
+
+    def test_few_near_band_batches_stop_early_at_the_threshold(self):
+        # criterion 6's model at the exact threshold rate, 2000 seeds: the
+        # expected DR sits on the pass mark, so every batch that stops
+        # before policy.repetitions decided on noise alone
+        rate = analytic_pdr(ForwarderModel({END: 5_000_000}), END, 0.005)
+        batches = early = 0
+        for seed in range(2000):
+            m = ForwarderModel({END: 5_000_000}, noise_sigma=0.001, seed=seed)
+            _, used = evaluate_point(SimDriver(m, END, TEMPLATE), rate, 10.0, 0.005, self.POLICY)
+            if used > 1:
+                batches += 1
+                early += used < self.POLICY.repetitions
+        assert early <= 0.15 * batches
 
     def test_seeded_heavy_noise_is_unstable(self):
         # sigma 0.2 swamps the 1% CV cap; the seed is the first whose first
@@ -445,8 +459,8 @@ class TestScreening:
         d = ByDuration(0.996, 0.994)
         result = find_pdr(d, LPR_64, self.CFG)
         for e in result.trace.entries:
-            # one screen, then three full-duration trials that decide
-            assert (e.repetitions, e.testbed_s) == (4, 31.0)
+            # one screen, then two full-duration trials that decide
+            assert (e.repetitions, e.testbed_s) == (3, 21.0)
             assert e.delivery_ratio == pytest.approx(0.994, abs=1e-6)
             assert e.decision == "lower-high"
 
@@ -469,10 +483,10 @@ class TestScreening:
     @pytest.mark.parametrize(
         "algorithm, shift, cost",
         [
-            (find_pdr, 0.002, (26, 161.0)),
-            (find_pdr_legacy, 0.002, (33, 168.0)),
-            (find_pdr, -0.002, (31, 220.0)),
-            (find_pdr_legacy, -0.002, (31, 166.0)),
+            (find_pdr, 0.002, (21, 111.0)),
+            (find_pdr_legacy, 0.002, (28, 118.0)),
+            (find_pdr, -0.002, (24, 150.0)),
+            (find_pdr_legacy, -0.002, (26, 116.0)),
         ],
         ids=["binary-high", "legacy-high", "binary-low", "legacy-low"],
     )
@@ -481,9 +495,9 @@ class TestScreening:
         # search wrong until a confirmation overturns one. After that no
         # near-band screen decides a rate, and the window bounds one alone
         # decided are confirmed before the halving goes on. Measuring every
-        # near-band rate at full duration costs 127, 132, 137 and 142
-        # testbed-seconds here; trusting screens to the end, 255, 293, 344
-        # and 476
+        # near-band rate at full duration costs 87, 92, 97 and 102
+        # testbed-seconds here; trusting screens to the end, 175, 203, 234
+        # and 326
         lpr = 10e9 / (8.0 * (158 + 24))  # End's 158 B frame
         honest = algorithm(sim_driver(5_000_000), lpr)
         d = CountingDriver(ScreensReadOff(sim_driver(5_000_000), shift))
@@ -494,10 +508,10 @@ class TestScreening:
 
     def test_quickstart_end_search_cost(self):
         # 4 far rates and 1 near-band rate each decided by one screen, plus
-        # 2 final bounds each a screen and 3 full-duration trials
+        # 2 final bounds each a screen and 2 full-duration trials
         d = CountingDriver(sim_driver(900_000))
         result = find_pdr(d, 10e9 / (8.0 * (158 + 24)))  # End's 158 B frame
-        assert (d.trials, d.seconds) == (13, 67.0)
+        assert (d.trials, d.seconds) == (11, 47.0)
         iv = result.interval
         assert (round(iv.low_pps), round(iv.high_pps)) == (706130, 759251)
 
@@ -560,6 +574,24 @@ class TestValidatePdr:
             if sigma == 0.001:
                 assert v.stats.cv_percent <= 1.0
 
+    @pytest.mark.parametrize("sigma, least", [(0.0, 400), (0.0005, 400), (0.002, 300)])
+    def test_per_run_intervals_cover_the_pdr(self, sigma, least):
+        # the shipped End curve, seeds 0-39 x 10 runs. A stop that settles
+        # near-band rates on too few trials shows here as intervals that
+        # miss the closed-form PDR. Noiseless, every search costs 47
+        # testbed-s: 5 rates a screen decides, and 2 final bounds each a
+        # screen and 2 full-duration trials
+        covered, seconds = 0, set()
+        for seed in range(40):
+            m = ForwarderModel({END: 900_000}, noise_sigma=sigma, seed=seed)
+            pdr = analytic_pdr(m, END, 0.005)
+            for r in validate_pdr(SimDriver(m, END, TEMPLATE), LPR_64, runs=10).results:
+                covered += r.interval.low_pps <= pdr <= r.interval.high_pps
+                seconds.add(sum(e.testbed_s for e in r.trace.entries))
+        assert covered >= least
+        if sigma == 0.0:
+            assert seconds == {47.0}
+
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
             validate_pdr(sim_driver(5e6), LPR_64, runs=0)
@@ -576,9 +608,10 @@ class TestValidatePdr:
 # End models. Rates and decisions were recorded from the finders before
 # they shared one bisection loop; repetitions were re-recorded when
 # screening trials and early-stopping repeats came in: a screened far rate
-# is 1 trial, a near-band rate its screen plus 3 full-duration trials, and
-# a final bound a screen decided its screen plus 1 confirming trial. A
-# change to either search's probe order or trial count shows up here.
+# is 1 trial, a near-band rate its screen plus 2 (MIN_DECIDING)
+# full-duration trials, and a final bound a screen decided its screen plus
+# 1 confirming trial. A change to either search's probe order or trial
+# count shows up here.
 # "noisy_end" adds the shipped End curve at sigma 0.002, recorded with the
 # search as it stands: its near-band batches stop after 4 or run to 5
 # full-duration trials on fresh noise draws, so a change that moves a
@@ -592,15 +625,15 @@ PINNED_TRACES = {
             (1639093.1372549022, "lower-high", 1),
             (880821.0784313726, "lower-high", 1),
             (501685.0490196079, "raise-low", 1),
-            (691253.0637254902, "raise-low", 4),
-            (786037.0710784314, "lower-high", 4),
+            (691253.0637254902, "raise-low", 3),
+            (786037.0710784314, "lower-high", 3),
         ],
         [
             (122549.01960784315, "raise-low", 1),
             (245098.0392156863, "raise-low", 1),
             (490196.0784313726, "raise-low", 1),
             (980392.1568627452, "lower-high", 1),
-            (735294.1176470589, "raise-low", 4),
+            (735294.1176470589, "raise-low", 3),
             (857843.137254902, "lower-high", 2),
         ],
     ),
