@@ -6,9 +6,11 @@ Both finders return an interval [low, high] of offered rates whose width
 is at most epsilon = line_packet_rate * accuracy_percent / 100, plus a
 trace of every trial they ran. A short screening trial decides each rate
 the search passes through; every bound a finder reports rests on
-full-duration trials, so a wrong screen costs trials, not accuracy. Once
-a full-duration trial overturns a screen, the search measures rates near
-the threshold at full duration for the rest of its run.
+full-duration trials, so a wrong screen costs trials, not accuracy. The
+final bounds are confirmed nearest-the-pass-mark first, so when the more
+doubtful one is overturned no full-duration trial is spent on the other.
+Once a full-duration trial overturns a screen, the search measures rates
+near the threshold at full duration for the rest of its run.
 """
 
 from __future__ import annotations
@@ -273,13 +275,15 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
     then confirm at full duration each final bound a screen decided.
 
     The window runs from the highest passed rate in the trace (floor if
-    none passed) to the lowest failed one (top if none failed). A
-    confirmation that overturns its screen moves that bound, and the
-    halving goes on from there. From then on the search trusts no screen
-    near the threshold: such a screen decides no new rate, and a window
-    bound one alone decided is confirmed before the window is halved. So
-    a forwarder whose short trials read wrong pays for full-duration
-    trials where they matter, not for a search steered by wrong screens.
+    none passed) to the lowest failed one (top if none failed). Bounds are
+    confirmed nearest-the-pass-mark first (see _bounds). A confirmation
+    that overturns its screen moves that bound, no trial is spent on the
+    other, and the halving goes on from there. From then on the
+    search trusts no screen near the threshold: such a screen decides no
+    new rate, and a window bound one alone decided is confirmed before
+    the window is halved. So a forwarder whose short trials read wrong
+    pays for full-duration trials where they matter, not for a search
+    steered by wrong screens.
     Returns the final (low, high).
     """
     pass_mark = 1.0 - cfg.loss_threshold
@@ -291,7 +295,7 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
         # a confirmation rewrites only its own entry, so the others are read as they were
         if not trust and any(
             _confirm(driver, i, cfg, policy, trace)
-            for i in _bounds(entries, low, high)
+            for i in _bounds(entries, low, high, pass_mark)
             if not _stands_alone(entries[i].delivery_ratio, pass_mark, policy.near_band)
         ):
             continue
@@ -301,14 +305,19 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
                 low = tx
             else:
                 high = tx
-        if not any(_confirm(driver, i, cfg, policy, trace) for i in _bounds(entries, low, high)):
+        bounds = _bounds(entries, low, high, pass_mark)
+        if not any(_confirm(driver, i, cfg, policy, trace) for i in bounds):
             return low, high
         trust = False
 
 
-def _bounds(entries, low, high) -> list[int]:
-    """Indices of the trace entries at the window's bounds, in trace order."""
-    return [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
+def _bounds(entries, low, high, pass_mark) -> list[int]:
+    """Indices of the trace entries at the window's bounds, the one whose
+    DR sits nearest the pass mark first (ties in trace order): that bound
+    is the likelier to be overturned, and an overturn makes the other's
+    confirmation moot."""
+    at_bounds = [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
+    return sorted(at_bounds, key=lambda i: abs(entries[i].delivery_ratio - pass_mark))
 
 
 def _result(low, high, trace) -> FinderResult:

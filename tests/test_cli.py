@@ -495,13 +495,13 @@ PINNED_OUTPUTS = {
         "trace_PlainIPv6.json": "6a8fac799d498af9bf6889b86ba5d55b6ec66b6f7c64437e720359887f68f440",
     },
     "noisy": {
-        "campaign.csv": "15024ff3d67ce8685aa4c0342ebf23a6eed5244b90bc4f5774d3bcc1f813a747",
-        "campaign.json": "aae349fe3f30f4d7dcfcc8998d6e759a62dea2f92f9b1f3c5d650f5c4f268182",
-        "plot_data.csv": "5946e50b9778c4813e857f17c77eb254a6f3b006a30900164fb41627e966533e",
-        "trace_End.json": "35aad69b3e14aed98820797bb87338dd3e4080670bf77c32812b6484ff549ea0",
-        "trace_End_DT6.json": "d3bdad0d3f731de5216a61d98f6a3d8f5b8a9cbe21bb9c7b17b938207cd40fdd",
-        "trace_H_Encaps.json": "f9a6b5b9d20c7f60bd8614c4346bab641d0ec55015e1811aebde0e9c4cbf10ef",
-        "trace_PlainIPv6.json": "30644e56125614ef6f566bbdc67316f31e47e30b90c604714bc0cc61b629e042",
+        "campaign.csv": "e663a79dd9e4b0067932c6c2bec7f873af02ba3181232881548730f1af104db7",
+        "campaign.json": "3229d4a5f46009623e4be35e94fbccd7fc5b28ce3284ef9e56c153781af1eed8",
+        "plot_data.csv": "1efbb3ac4dbe0b2be7f7b67a13ea3730e4754c2f89deef3edab06b74701d1a15",
+        "trace_End.json": "ce54a3af23631c853238b636c42bd61f5e7bdb813fb2678893937d5fb2d5c665",
+        "trace_End_DT6.json": "bb761de60a44c8d109663fbb7b655a224ba71674e4027139fee03d0f59226b93",
+        "trace_H_Encaps.json": "76dcba72cf871bdc410306fc8d76a7ab8224fa5a54b020b80f9ec700353c2419",
+        "trace_PlainIPv6.json": "5549f3f95ca14135505496c8515b7c90c572a8589976024cc6b3a7dd9d192a4a",
     },
 }
 

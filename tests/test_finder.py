@@ -426,6 +426,27 @@ class ScreensReadOff:
         return TrialSample(tx_packets=sample.tx_packets, rx_packets=rx, duration_s=duration_s)
 
 
+class ScreensPassAboveTheKnee:
+    """Full-duration trials read DR 1 up to `knee` and 0.98 above it. A
+    screening trial between `knee` and `lie_top` reads 0.996, just over
+    the 0.995 pass mark. Records every (rate, duration) offered."""
+
+    def __init__(self, knee, lie_top, full_s=10.0):
+        self.knee, self.lie_top, self.full_s = knee, lie_top, full_s
+        self.calls = []
+
+    def run_trial(self, rate_pps, duration_s):
+        self.calls.append((rate_pps, duration_s))
+        tx = round(rate_pps * duration_s)
+        if rate_pps <= self.knee:
+            dr = 1.0
+        elif rate_pps <= self.lie_top and duration_s < self.full_s:
+            dr = 0.996
+        else:
+            dr = 0.98
+        return TrialSample(tx_packets=tx, rx_packets=round(tx * dr), duration_s=duration_s)
+
+
 class TestScreening:
     CFG = SearchConfig()
 
@@ -483,8 +504,8 @@ class TestScreening:
     @pytest.mark.parametrize(
         "algorithm, shift, cost",
         [
-            (find_pdr, 0.002, (21, 111.0)),
-            (find_pdr_legacy, 0.002, (28, 118.0)),
+            (find_pdr, 0.002, (23, 131.0)),
+            (find_pdr_legacy, 0.002, (30, 138.0)),
             (find_pdr, -0.002, (24, 150.0)),
             (find_pdr_legacy, -0.002, (26, 116.0)),
         ],
@@ -496,7 +517,7 @@ class TestScreening:
         # near-band screen decides a rate, and the window bounds one alone
         # decided are confirmed before the halving goes on. Measuring every
         # near-band rate at full duration costs 87, 92, 97 and 102
-        # testbed-seconds here; trusting screens to the end, 175, 203, 234
+        # testbed-seconds here; trusting screens to the end, 195, 223, 234
         # and 326
         lpr = 10e9 / (8.0 * (158 + 24))  # End's 158 B frame
         honest = algorithm(sim_driver(5_000_000), lpr)
@@ -505,6 +526,25 @@ class TestScreening:
         assert result.interval == honest.interval
         assert result.flags == honest.flags == ()
         assert (d.trials, d.seconds) == cost
+
+    def test_the_bound_nearer_the_pass_mark_is_confirmed_first(self):
+        # the first halving ends between an older high bound, whose screen
+        # read 0.98, and a newer low bound, whose screen read 0.996, 0.001
+        # over the pass mark. The low bound is confirmed first, its
+        # full-duration trials overturn it, and the old high bound, no
+        # longer a bound, never runs a full-duration trial
+        knee, lie_top = 0.33 * LPR_64, 0.35 * LPR_64
+        d = ScreensPassAboveTheKnee(knee, lie_top)
+        result = find_pdr(d, LPR_64, self.CFG)
+        old_high = min(r for r, _ in d.calls if r > lie_top)
+        newest_low = max(r for r, _ in d.calls if knee < r <= lie_top)
+        assert old_high - newest_low <= LPR_64 / 100.0
+        full_rates = {r for r, s in d.calls if s == self.CFG.trial_duration_s}
+        assert newest_low in full_rates
+        assert old_high not in full_rates
+        iv = result.interval
+        assert iv.low_pps <= knee < iv.high_pps
+        assert {iv.low_pps, iv.high_pps} <= full_rates
 
     def test_quickstart_end_search_cost(self):
         # 4 far rates and 1 near-band rate each decided by one screen, plus
