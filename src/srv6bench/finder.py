@@ -10,7 +10,10 @@ full-duration trials, so a wrong screen costs trials, not accuracy. The
 final bounds are confirmed nearest-the-pass-mark first, so when the more
 doubtful one is overturned no full-duration trial is spent on the other.
 Once a full-duration trial overturns a screen, the search measures rates
-near the threshold at full duration for the rest of its run.
+near the threshold at full duration for the rest of its run. Each search
+pools the DR spread of its accepted full-duration near-band batches, so
+once one batch has measured it, a later near-band rate of the same search
+can be decided by a single full-duration trial.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ FLAG_BELOW_SEARCH_FLOOR = "below-search-floor"
 
 # A screening trial lasts trial_duration_s / SCREEN_DIVISOR.
 SCREEN_DIVISOR = 10
-# Fewest near-band trials whose mean DR may decide a rate: two is the
-# fewest whose spread the Student-t stop can estimate, so a noiseless
-# near-band rate settles after two full-duration trials.
-MIN_DECIDING = 2
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,16 @@ class TrialPolicy:
             raise ValueError("repetitions must be >= 2")
         if self.retry_cap < 1:
             raise ValueError("retry_cap must be >= 1")
+
+
+@dataclass
+class SpreadPool:
+    """One search's within-batch DR spread: the sum of squared deviations
+    from their batch mean, and its degrees of freedom, over the accepted
+    full-duration near-band batches it has run."""
+
+    squares: float = 0.0
+    df: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,17 +159,25 @@ def _stands_alone(dr: float, pass_mark: float, near_band: float) -> bool:
     return dr == 1.0 or abs(dr - pass_mark) > near_band
 
 
-def _decided(drs: list[float], pass_mark: float) -> bool:
-    """Whether two or more delivery ratios put their mean farther from the
-    pass mark than its 95% Student-t half-width t * s / sqrt(n)."""
-    n = len(drs)
+def _spread(drs: list[float]) -> tuple[float, float]:
+    """The DRs' mean, less the first DR, and their squared deviations from
+    the mean, summed."""
     first = drs[0]
     # deviations from the first DR lose less to rounding than the DRs would
     devs = [x - first for x in drs]
-    mean_dev = math.fsum(devs) / n
-    gap = first - pass_mark + mean_dev
-    squares = math.fsum((d - mean_dev) ** 2 for d in devs)
-    return gap * gap * n * (n - 1) > t_95(n - 1) ** 2 * squares
+    mean_dev = math.fsum(devs) / len(drs)
+    return mean_dev, math.fsum((d - mean_dev) ** 2 for d in devs)
+
+
+def _decided(drs: list[float], pass_mark: float, pool: SpreadPool) -> bool:
+    """Whether the delivery ratios put their mean farther from the pass
+    mark than its 95% Student-t half-width t * s / sqrt(n), with s pooled
+    from these DRs and the pool's batches. Needs one degree of freedom."""
+    n = len(drs)
+    mean_dev, squares = _spread(drs)
+    gap = drs[0] - pass_mark + mean_dev
+    df = pool.df + n - 1
+    return df >= 1 and gap * gap * n * df > t_95(df) ** 2 * (pool.squares + squares)
 
 
 def evaluate_point(
@@ -169,18 +186,21 @@ def evaluate_point(
     duration_s: float,
     loss_threshold: float,
     policy: TrialPolicy,
+    pool: Optional[SpreadPool] = None,
 ) -> tuple[float, int]:
     """Measure the delivery ratio at one rate, repeating near the threshold.
 
     A single trial stands when its DR is 1 or comfortably away from the
     threshold. Inside the near band the trial is repeated until the DRs
-    decide the threshold (at least MIN_DECIDING = 2 of them, their mean
-    outside its 95% Student-t interval) or policy.repetitions have run.
-    Two equal DRs off the pass mark decide it; two that differ must put
-    their mean more than t_95(1) = 12.706 standard errors from it.
+    decide the threshold (their mean outside its 95% Student-t interval)
+    or policy.repetitions have run. The interval's spread is pooled from
+    the batch and the pool's earlier batches, with t_95(pool.df + n - 1).
+    With an empty pool that takes two DRs: two equal DRs off the pass
+    mark decide it, and two that differ must put their mean more than
+    t_95(1) = 12.706 standard errors from it. With a pool, one DR can.
     The mean DR is accepted only if the CV of the received rates stays
-    under the cap; the whole batch is retried up to policy.retry_cap
-    times before giving up.
+    under the cap, and an accepted batch adds its spread to the pool; the
+    whole batch is retried up to policy.retry_cap times before giving up.
 
     Returns (delivery ratio, trials used).
     """
@@ -192,12 +212,11 @@ def evaluate_point(
     if _stands_alone(dr, pass_mark, policy.near_band):
         return dr, 1
 
+    pool = SpreadPool() if pool is None else pool
     trials_used = 1
     rx_rates, drs = [sample.throughput_pps], [dr]
     for _ in range(policy.retry_cap):
-        while len(drs) < policy.repetitions and (
-            len(drs) < MIN_DECIDING or not _decided(drs, pass_mark)
-        ):
+        while len(drs) < policy.repetitions and not (drs and _decided(drs, pass_mark, pool)):
             sample = driver.run_trial(tx_rate_pps, duration_s)
             rx_rates.append(sample.throughput_pps)
             drs.append(delivery_ratio(sample))
@@ -205,6 +224,8 @@ def evaluate_point(
         # equal finite rx rates have a CV of exactly 0, which no cap is below
         steady = rx_rates.count(rx_rates[0]) == len(rx_rates) and rx_rates[0] < math.inf
         if steady or summarize(rx_rates).cv_percent <= policy.max_rx_cv_percent:
+            pool.squares += _spread(drs)[1]
+            pool.df += len(drs) - 1
             # plain left-to-right addition on every Python (sum() compensates from 3.12)
             return reduce(operator.add, drs) / len(drs), trials_used
         rx_rates, drs = [], []
@@ -214,7 +235,7 @@ def evaluate_point(
     )
 
 
-def _probe(driver, rate, cfg, policy, trace, screen=True, trust=True) -> bool:
+def _probe(driver, rate, cfg, policy, trace, pool, screen=True, trust=True) -> bool:
     """Evaluate one rate, record it in the trace and say whether it passed.
 
     With screen, a trial of trial_duration_s / SCREEN_DIVISOR comes first.
@@ -222,8 +243,9 @@ def _probe(driver, rate, cfg, policy, trace, screen=True, trust=True) -> bool:
     with trust near the threshold too. A screen's verdict only steers the
     search: _bisect measures each rate that ends as a final bound again at
     full duration. A rate no screen decided is measured at full duration
-    by evaluate_point, without the screen in its mean. No screen runs when
-    one packet would move its DR by more than a tenth of the near band.
+    by evaluate_point, without the screen in its mean or in the search's
+    spread pool. No screen runs when one packet would move its DR by more
+    than a tenth of the near band.
     """
     pass_mark = 1.0 - cfg.loss_threshold
     screen_s = cfg.trial_duration_s / SCREEN_DIVISOR
@@ -234,7 +256,7 @@ def _probe(driver, rate, cfg, policy, trace, screen=True, trust=True) -> bool:
             reps, spent = 1, screen_s
         if not reps or not (trust or _stands_alone(dr, pass_mark, policy.near_band)):
             dr, n = evaluate_point(
-                driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy
+                driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy, pool
             )
             reps, spent = reps + n, spent + n * cfg.trial_duration_s
     except Srv6BenchError as exc:
@@ -248,7 +270,7 @@ def _probe(driver, rate, cfg, policy, trace, screen=True, trust=True) -> bool:
     return passed
 
 
-def _confirm(driver, i, cfg, policy, trace) -> bool:
+def _confirm(driver, i, cfg, policy, trace, pool) -> bool:
     """Re-measure trace entry i at full duration if a screen alone decided
     it, and say whether that overturned the screen.
 
@@ -258,7 +280,7 @@ def _confirm(driver, i, cfg, policy, trace) -> bool:
     screened = trace.entries[i]
     if screened.testbed_s >= cfg.trial_duration_s:  # a full-duration trial ran
         return False
-    passed = _probe(driver, screened.tx_rate_pps, cfg, policy, trace, screen=False)
+    passed = _probe(driver, screened.tx_rate_pps, cfg, policy, trace, pool, screen=False)
     full = trace.entries.pop()
     trace.entries[i] = TraceEntry(
         tx_rate_pps=full.tx_rate_pps,
@@ -270,7 +292,7 @@ def _confirm(driver, i, cfg, policy, trace) -> bool:
     return passed != (screened.decision == RAISE_LOW)
 
 
-def _bisect(driver, floor, top, eps, cfg, policy, trace):
+def _bisect(driver, floor, top, eps, cfg, policy, trace, pool):
     """Halve the window around its middle until it is no wider than eps,
     then confirm at full duration each final bound a screen decided.
 
@@ -294,19 +316,19 @@ def _bisect(driver, floor, top, eps, cfg, policy, trace):
         high = min([e.tx_rate_pps for e in entries if e.decision == LOWER_HIGH], default=top)
         # a confirmation rewrites only its own entry, so the others are read as they were
         if not trust and any(
-            _confirm(driver, i, cfg, policy, trace)
+            _confirm(driver, i, cfg, policy, trace, pool)
             for i in _bounds(entries, low, high, pass_mark)
             if not _stands_alone(entries[i].delivery_ratio, pass_mark, policy.near_band)
         ):
             continue
         while high - low > eps:
             tx = (low + high) / 2.0
-            if _probe(driver, tx, cfg, policy, trace, trust=trust):
+            if _probe(driver, tx, cfg, policy, trace, pool, trust=trust):
                 low = tx
             else:
                 high = tx
         bounds = _bounds(entries, low, high, pass_mark)
-        if not any(_confirm(driver, i, cfg, policy, trace) for i in bounds):
+        if not any(_confirm(driver, i, cfg, policy, trace, pool) for i in bounds):
             return low, high
         trust = False
 
@@ -359,6 +381,7 @@ def find_pdr(
         cfg,
         policy,
         trace,
+        SpreadPool(),
     )
     return _result(low, high, trace)
 
@@ -378,17 +401,19 @@ def find_pdr_legacy(
     lpr = line_packet_rate_pps
     floor = lpr * cfg.min_percent / 100.0
     max_rate = lpr * cfg.max_percent / 100.0
-    trace = FinderTrace()
+    trace, pool = FinderTrace(), SpreadPool()
     rate = floor
     # a failing floor collapses the search, so a screen alone may not fail it
-    passed = _probe(driver, rate, cfg, policy, trace) or _confirm(driver, 0, cfg, policy, trace)
+    passed = _probe(driver, rate, cfg, policy, trace, pool) or _confirm(
+        driver, 0, cfg, policy, trace, pool
+    )
     # a doubling that would overshoot the window top is not probed
     while passed and rate * 2.0 <= max_rate:
         rate *= 2.0
-        passed = _probe(driver, rate, cfg, policy, trace)
+        passed = _probe(driver, rate, cfg, policy, trace, pool)
 
     low, high = _bisect(
-        driver, floor, max_rate, lpr * cfg.accuracy_percent / 100.0, cfg, policy, trace
+        driver, floor, max_rate, lpr * cfg.accuracy_percent / 100.0, cfg, policy, trace, pool
     )
     return _result(low, high, trace)
 

@@ -480,28 +480,34 @@ def run_shipped(noise_sigma, tmp_path):
 # campaign.json files changed in "ci95_model", and the noisy campaign.json
 # and campaign.csv in every ci95_percent (x 2.2622 / 1.96 at 10 runs).
 # Re-recorded when two full-duration trials came to decide a near-band rate
-# (MIN_DECIDING 3 -> 2): every noiseless trace file changed in the
+# (3 DRs -> 2): every noiseless trace file changed in the
 # repetitions and testbed_s of its near-band rates, and every noisy output
 # but two trace files changed, because the searches take fewer noise draws.
 # The noiseless campaign.csv, campaign.json and plot_data.csv did not change.
+# Re-recorded when a search came to pool the DR spread of its near-band
+# batches: every noiseless trace file changed, because a run's second
+# confirmed bound is now its screen and 1 full-duration trial (2 trials,
+# 11 testbed-s, where it was 3 and 21), and every noisy output changed,
+# because the searches take fewer noise draws. The noiseless campaign.csv,
+# campaign.json and plot_data.csv did not change.
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
         "campaign.json": "5788b866100a2d47daab352a60206c65bd1967498441fece99e283926361113b",
         "plot_data.csv": "3de43cd009041070fb435f59fea170a8897608f92303b363bcf90dee9d83a2ed",
-        "trace_End.json": "8f56d9dedee031c5ba89d16dbd10de247eb5a3f293e0f8fad5d567c45ccadb3b",
-        "trace_End_DT6.json": "1e3c2fe7e233c8be64cecfbbdd0f0c128c84f7f3ed9254d75f034f372ef4c040",
-        "trace_H_Encaps.json": "651adc59ad349f76e42b1ae4824dc9be900be877ebad356095c92ae0e370323b",
-        "trace_PlainIPv6.json": "6a8fac799d498af9bf6889b86ba5d55b6ec66b6f7c64437e720359887f68f440",
+        "trace_End.json": "8f7ec2f771ad79960e0ffbeb1ebe5d4fd7df862027c1954becc29f32440296c0",
+        "trace_End_DT6.json": "e650514a20f5a4adca7892bdfc933ca4e82ec6fdb79e768df8912ac9ae0a5c4d",
+        "trace_H_Encaps.json": "eaf69371c739656fef5f279458f585cbf31472528c92a3921bc2bfc5b315c9b3",
+        "trace_PlainIPv6.json": "0b9b5b1d77cc4a4bd5fa100d66e0d7003de1037c68c1f31b82f4974a13450b75",
     },
     "noisy": {
-        "campaign.csv": "e663a79dd9e4b0067932c6c2bec7f873af02ba3181232881548730f1af104db7",
-        "campaign.json": "3229d4a5f46009623e4be35e94fbccd7fc5b28ce3284ef9e56c153781af1eed8",
-        "plot_data.csv": "1efbb3ac4dbe0b2be7f7b67a13ea3730e4754c2f89deef3edab06b74701d1a15",
-        "trace_End.json": "ce54a3af23631c853238b636c42bd61f5e7bdb813fb2678893937d5fb2d5c665",
-        "trace_End_DT6.json": "bb761de60a44c8d109663fbb7b655a224ba71674e4027139fee03d0f59226b93",
-        "trace_H_Encaps.json": "76dcba72cf871bdc410306fc8d76a7ab8224fa5a54b020b80f9ec700353c2419",
-        "trace_PlainIPv6.json": "5549f3f95ca14135505496c8515b7c90c572a8589976024cc6b3a7dd9d192a4a",
+        "campaign.csv": "8f4236e6f1212028477387027cbb8413f62dbaf5c26d7876acaf1e9bd709ccaf",
+        "campaign.json": "ca32b8c4c93b93bd43f24ba150c6ac4c7532f12bdc6958b6ac0b1ff3dd02e189",
+        "plot_data.csv": "62b22c77d3f37733b36afb0ee1ddd70d380456d4ee72112b603ffcefbea6439a",
+        "trace_End.json": "9fd7f54d6a94352d58f3b217150919c80e0d336f1fd51382a0a3d0e3dcbc4aa5",
+        "trace_End_DT6.json": "eba34d86c03c50d71fb0bae7c75adcf149c9e0ab3ca4efaa91945d649b61f08a",
+        "trace_H_Encaps.json": "ace1e3b98a2d9e4b738b97723dde8d728b7ebc91ae8d6fd9d2d1e380cf12eb0c",
+        "trace_PlainIPv6.json": "98282cb08e339b833164c042d24a7879c94ced40791bf3d2787bdead082c42fd",
     },
 }
 

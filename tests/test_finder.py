@@ -15,9 +15,9 @@ from srv6bench.errors import ExperimentAbortedError, Srv6BenchError
 from srv6bench.finder import (
     FLAG_BELOW_SEARCH_FLOOR,
     FLAG_LINE_RATE_LIMITED,
-    MIN_DECIDING,
     RateInterval,
     SearchConfig,
+    SpreadPool,
     TrialPolicy,
     evaluate_point,
     find_pdr,
@@ -97,6 +97,31 @@ class TestEvaluatePoint:
         assert abs(dr - 0.995) <= self.POLICY.near_band
         assert used == d.trials == 2
 
+    @pytest.mark.parametrize("side", [1, -1], ids=["pass", "fail"])
+    @pytest.mark.parametrize("gap, used", [(0.0014, 1), (0.00137, 2)], ids=["outside", "inside"])
+    def test_pooled_stop_uses_t_of_the_pooled_and_own_df(self, side, gap, used):
+        # a pool of 4 df with s = 0.0005 puts one DR's half-width at
+        # t_95(4) * 0.0005 = 0.0013882 from the pass mark: a DR just
+        # outside it decides alone (t_95(3) would not), one just inside
+        # needs a second, equal DR, after which 5 df decide (t_95(5) would
+        # have decided the first)
+        pool = SpreadPool(squares=4 * 0.0005**2, df=4)
+        rx = round(1_000_000 * (0.995 + side * gap))
+        d = ScriptedDriver([(1_000_000, rx)] * 5)
+        dr, n = evaluate_point(d, 100.0, 10.0, 0.005, self.POLICY, pool)
+        assert (dr, n) == (rx / 1_000_000, used)
+        assert pool == SpreadPool(squares=4 * 0.0005**2, df=4 + used - 1)
+
+    def test_a_batch_the_cv_cap_discards_adds_nothing_to_the_pool(self):
+        # the first batch swings 30 % and is discarded after 5 trials; the
+        # second decides on 2 equal DRs, as it would with no batch before it
+        wild = [(100000, 99500), (100000, 70000)] * 2 + [(100000, 99500)]
+        d = ScriptedDriver(wild + [(100000, 99400)] * 5)
+        pool = SpreadPool()
+        dr, used = evaluate_point(d, 100.0, 10.0, 0.005, self.POLICY, pool)
+        assert (dr, used) == (0.994, 7)
+        assert pool == SpreadPool(squares=0.0, df=1)
+
     def test_unstable_batches_exhaust_and_raise(self):
         # rx rates with ~30% swing keep the CV above the 1% cap in every
         # batch: 1 + 4 + 5 + 5 = 15 trials, then the error
@@ -168,7 +193,7 @@ class TestEvaluatePoint:
 def reference_evaluate_point(driver, tx_rate_pps, duration_s, loss_threshold, policy):
     """evaluate_point's rule written out plainly: a trial stands alone at
     DR 1 or outside the near band; otherwise each batch runs until
-    MIN_DECIDING or more DRs pass the Student-t stop or the batch holds
+    two or more DRs pass the Student-t stop or the batch holds
     policy.repetitions, its mean DR (added left to right) is taken if
     summarize's CV of its rx rates is within the cap, and after
     policy.retry_cap batches the point fails."""
@@ -176,7 +201,7 @@ def reference_evaluate_point(driver, tx_rate_pps, duration_s, loss_threshold, po
 
     def decided(drs):
         n = len(drs)
-        if n < MIN_DECIDING:
+        if n < 2:
             return False
         devs = [x - drs[0] for x in drs]
         mean_dev = math.fsum(devs) / n
@@ -479,9 +504,11 @@ class TestScreening:
     def test_near_band_screen_is_left_out_of_the_mean(self):
         d = ByDuration(0.996, 0.994)
         result = find_pdr(d, LPR_64, self.CFG)
+        # every rate is one screen, then full-duration trials that decide:
+        # two for the search's first batch, then one on the pooled spread
+        costs = sorted((e.repetitions, e.testbed_s) for e in result.trace.entries)
+        assert costs == [(2, 11.0)] * (len(costs) - 1) + [(3, 21.0)]
         for e in result.trace.entries:
-            # one screen, then two full-duration trials that decide
-            assert (e.repetitions, e.testbed_s) == (3, 21.0)
             assert e.delivery_ratio == pytest.approx(0.994, abs=1e-6)
             assert e.decision == "lower-high"
 
@@ -504,10 +531,10 @@ class TestScreening:
     @pytest.mark.parametrize(
         "algorithm, shift, cost",
         [
-            (find_pdr, 0.002, (23, 131.0)),
-            (find_pdr_legacy, 0.002, (30, 138.0)),
-            (find_pdr, -0.002, (24, 150.0)),
-            (find_pdr_legacy, -0.002, (26, 116.0)),
+            (find_pdr, 0.002, (18, 81.0)),
+            (find_pdr_legacy, 0.002, (25, 88.0)),
+            (find_pdr, -0.002, (18, 90.0)),
+            (find_pdr_legacy, -0.002, (22, 76.0)),
         ],
         ids=["binary-high", "legacy-high", "binary-low", "legacy-low"],
     )
@@ -516,9 +543,9 @@ class TestScreening:
         # search wrong until a confirmation overturns one. After that no
         # near-band screen decides a rate, and the window bounds one alone
         # decided are confirmed before the halving goes on. Measuring every
-        # near-band rate at full duration costs 87, 92, 97 and 102
-        # testbed-seconds here; trusting screens to the end, 195, 223, 234
-        # and 326
+        # near-band rate at full duration costs 57, 62, 67 and 72
+        # testbed-seconds here; trusting screens to the end, 115, 133, 134
+        # and 186
         lpr = 10e9 / (8.0 * (158 + 24))  # End's 158 B frame
         honest = algorithm(sim_driver(5_000_000), lpr)
         d = CountingDriver(ScreensReadOff(sim_driver(5_000_000), shift))
@@ -548,12 +575,27 @@ class TestScreening:
 
     def test_quickstart_end_search_cost(self):
         # 4 far rates and 1 near-band rate each decided by one screen, plus
-        # 2 final bounds each a screen and 2 full-duration trials
+        # 2 final bounds each a screen and full-duration trials: 2 for the
+        # first bound confirmed, 1 on the pooled spread for the second
         d = CountingDriver(sim_driver(900_000))
         result = find_pdr(d, 10e9 / (8.0 * (158 + 24)))  # End's 158 B frame
-        assert (d.trials, d.seconds) == (11, 47.0)
+        assert (d.trials, d.seconds) == (10, 37.0)
         iv = result.interval
         assert (round(iv.low_pps), round(iv.high_pps)) == (706130, 759251)
+
+    def test_a_noiseless_search_decides_its_second_bound_on_one_full_trial(self):
+        # both final bounds are near-band rates: the first confirmed takes
+        # 2 equal full-duration DRs, which pool 1 degree of freedom, and on
+        # that the second's single full-duration DR decides
+        result = find_pdr(sim_driver(900_000), 10e9 / (8.0 * (158 + 24)))
+        pass_mark = 1.0 - self.CFG.loss_threshold
+        iv = result.interval
+        bounds = sorted(
+            (e for e in result.trace.entries if e.tx_rate_pps in (iv.low_pps, iv.high_pps)),
+            key=lambda e: abs(e.delivery_ratio - pass_mark),
+        )
+        assert all(abs(e.delivery_ratio - pass_mark) <= TrialPolicy().near_band for e in bounds)
+        assert [(e.repetitions, e.testbed_s) for e in bounds] == [(3, 21.0), (2, 11.0)]
 
     def test_too_short_a_trial_runs_no_screen(self):
         # at 3 ms a 0.3 ms screen offers under 10 / near_band = 4000 packets
@@ -618,9 +660,10 @@ class TestValidatePdr:
     def test_per_run_intervals_cover_the_pdr(self, sigma, least):
         # the shipped End curve, seeds 0-39 x 10 runs. A stop that settles
         # near-band rates on too few trials shows here as intervals that
-        # miss the closed-form PDR. Noiseless, every search costs 47
+        # miss the closed-form PDR. Noiseless, every search costs 37
         # testbed-s: 5 rates a screen decides, and 2 final bounds each a
-        # screen and 2 full-duration trials
+        # screen and full-duration trials, 2 for the first and 1 for the
+        # second, whose batch the first's pooled spread decides
         covered, seconds = 0, set()
         for seed in range(40):
             m = ForwarderModel({END: 900_000}, noise_sigma=sigma, seed=seed)
@@ -630,7 +673,14 @@ class TestValidatePdr:
                 seconds.add(sum(e.testbed_s for e in r.trace.entries))
         assert covered >= least
         if sigma == 0.0:
-            assert seconds == {47.0}
+            assert seconds == {37.0}
+
+    def test_every_run_starts_with_an_empty_pool(self):
+        # each run's first near-band batch takes 2 full-duration trials;
+        # a pool left by the run before would decide it on 1
+        v = validate_pdr(sim_driver(900_000), LPR_64, runs=3)
+        for r in v.results:
+            assert sorted(e.testbed_s for e in r.trace.entries if e.testbed_s >= 10.0) == [11.0, 21.0]
 
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -648,10 +698,13 @@ class TestValidatePdr:
 # End models. Rates and decisions were recorded from the finders before
 # they shared one bisection loop; repetitions were re-recorded when
 # screening trials and early-stopping repeats came in: a screened far rate
-# is 1 trial, a near-band rate its screen plus 2 (MIN_DECIDING)
-# full-duration trials, and a final bound a screen decided its screen plus
-# 1 confirming trial. A change to either search's probe order or trial
-# count shows up here.
+# is 1 trial, a near-band rate its screen plus 2 full-duration trials (the
+# fewest whose spread decides with no pooled spread), and a final bound a
+# screen decided its screen plus 1 confirming trial. Binary mid_range's
+# second confirmed bound, 691253 pps, was re-recorded when a search came to
+# pool its near-band spread: 786037 pps's batch pools 1 degree of freedom,
+# so its screen plus 1 full-duration trial decide it. A change to either
+# search's probe order or trial count shows up here.
 # "noisy_end" adds the shipped End curve at sigma 0.002, recorded with the
 # search as it stands: its near-band batches stop after 4 or run to 5
 # full-duration trials on fresh noise draws, so a change that moves a
@@ -665,7 +718,7 @@ PINNED_TRACES = {
             (1639093.1372549022, "lower-high", 1),
             (880821.0784313726, "lower-high", 1),
             (501685.0490196079, "raise-low", 1),
-            (691253.0637254902, "raise-low", 3),
+            (691253.0637254902, "raise-low", 2),
             (786037.0710784314, "lower-high", 3),
         ],
         [
