@@ -4,16 +4,13 @@ and the multi-run validation wrapper.
 
 Both finders return an interval [low, high] of offered rates whose width
 is at most epsilon = line_packet_rate * accuracy_percent / 100, plus a
-trace of every trial they ran. A short screening trial decides each rate
-the search passes through; every bound a finder reports rests on
-full-duration trials, so a wrong screen costs trials, not accuracy. The
-final bounds are confirmed nearest-the-pass-mark first, so when the more
-doubtful one is overturned no full-duration trial is spent on the other.
-Once a full-duration trial overturns a screen, the search measures rates
-near the threshold at full duration for the rest of its run. Each search
-pools the DR spread of its accepted full-duration near-band batches, so
-once one batch has measured it, a later near-band rate of the same search
-can be decided by a single full-duration trial.
+trace of every trial they ran. Each call builds one _Search, which holds
+the search's state and runs its steps: probe, bisect and confirm. A short
+screening trial decides each rate probed; every reported bound rests on
+full-duration trials, so a wrong screen costs trials, not accuracy. Once a
+confirmation overturns a screen, the search stops trusting screens near
+the threshold. Its spread pool lets one full-duration trial decide a
+later near-band rate.
 """
 
 from __future__ import annotations
@@ -169,15 +166,15 @@ def _spread(drs: list[float]) -> tuple[float, float]:
     return mean_dev, math.fsum((d - mean_dev) ** 2 for d in devs)
 
 
-def _decided(drs: list[float], pass_mark: float, pool: SpreadPool) -> bool:
+def _decided(drs: list[float], pass_mark: float, prior_squares: float, prior_df: int) -> bool:
     """Whether the delivery ratios put their mean farther from the pass
-    mark than its 95% Student-t half-width t * s / sqrt(n), with s pooled
-    from these DRs and the pool's batches. Needs one degree of freedom."""
+    mark than its 95% Student-t half-width t * s / sqrt(n), s pooled from
+    these DRs and the prior batches' squares. Needs one degree of freedom."""
     n = len(drs)
     mean_dev, squares = _spread(drs)
     gap = drs[0] - pass_mark + mean_dev
-    df = pool.df + n - 1
-    return df >= 1 and gap * gap * n * df > t_95(df) ** 2 * (pool.squares + squares)
+    df = prior_df + n - 1
+    return df >= 1 and gap * gap * n * df > t_95(df) ** 2 * (prior_squares + squares)
 
 
 def evaluate_point(
@@ -216,7 +213,9 @@ def evaluate_point(
     trials_used = 1
     rx_rates, drs = [sample.throughput_pps], [dr]
     for _ in range(policy.retry_cap):
-        while len(drs) < policy.repetitions and not (drs and _decided(drs, pass_mark, pool)):
+        while len(drs) < policy.repetitions and not (
+            drs and _decided(drs, pass_mark, pool.squares, pool.df)
+        ):
             sample = driver.run_trial(tx_rate_pps, duration_s)
             rx_rates.append(sample.throughput_pps)
             drs.append(delivery_ratio(sample))
@@ -235,122 +234,127 @@ def evaluate_point(
     )
 
 
-def _probe(driver, rate, cfg, policy, trace, pool, screen=True, trust=True) -> bool:
-    """Evaluate one rate, record it in the trace and say whether it passed.
+class _Search:
+    """One PDR search: its driver, config and policy; its window (floor,
+    top and goal width eps) and pass mark; its trace and spread pool; and
+    whether it still trusts screens near the threshold."""
 
-    With screen, a trial of trial_duration_s / SCREEN_DIVISOR comes first.
-    It decides the rate when its DR is 1 or outside the near band, and
-    with trust near the threshold too. A screen's verdict only steers the
-    search: _bisect measures each rate that ends as a final bound again at
-    full duration. A rate no screen decided is measured at full duration
-    by evaluate_point, without the screen in its mean or in the search's
-    spread pool. No screen runs when one packet would move its DR by more
-    than a tenth of the near band.
-    """
-    pass_mark = 1.0 - cfg.loss_threshold
-    screen_s = cfg.trial_duration_s / SCREEN_DIVISOR
-    reps, spent = 0, 0.0
-    try:
-        if screen and rate * screen_s * policy.near_band >= 10.0:
-            dr = delivery_ratio(driver.run_trial(rate, screen_s))
-            reps, spent = 1, screen_s
-        if not reps or not (trust or _stands_alone(dr, pass_mark, policy.near_band)):
+    def __init__(self, driver, lpr, cfg, policy):
+        self.driver, self.policy = driver, policy or TrialPolicy()
+        self.cfg = cfg = cfg or SearchConfig()
+        self.floor = lpr * cfg.min_percent / 100.0
+        self.top = lpr * cfg.max_percent / 100.0
+        self.eps = lpr * cfg.accuracy_percent / 100.0
+        self.pass_mark = 1.0 - cfg.loss_threshold
+        self.trace, self.pool, self.trust = FinderTrace(), SpreadPool(), True
+
+    def _aborted(self, rate, exc) -> ExperimentAbortedError:
+        """The error that aborts the search at `rate`, carrying its trace."""
+        return ExperimentAbortedError(
+            f"search aborted at {rate:.0f} pps: {exc}", traces=(self.trace,)
+        )
+
+    def _full(self, rate) -> tuple[float, int, float]:
+        """evaluate_point at `rate` and full duration: its DR, trials and testbed-s."""
+        duration_s = self.cfg.trial_duration_s
+        try:
             dr, n = evaluate_point(
-                driver, rate, cfg.trial_duration_s, cfg.loss_threshold, policy, pool
+                self.driver, rate, duration_s, self.cfg.loss_threshold, self.policy, self.pool
             )
-            reps, spent = reps + n, spent + n * cfg.trial_duration_s
-    except Srv6BenchError as exc:
-        raise ExperimentAbortedError(
-            f"search aborted at {rate:.0f} pps: {exc}", traces=(trace,)
-        ) from exc
-    passed = dr >= pass_mark
-    trace.entries.append(
-        TraceEntry(rate, dr, RAISE_LOW if passed else LOWER_HIGH, reps, spent)
-    )
-    return passed
+        except Srv6BenchError as exc:
+            raise self._aborted(rate, exc) from exc
+        return dr, n, n * duration_s
 
+    def probe(self, rate) -> bool:
+        """Evaluate one rate, record it in the trace and say whether it passed.
 
-def _confirm(driver, i, cfg, policy, trace, pool) -> bool:
-    """Re-measure trace entry i at full duration if a screen alone decided
-    it, and say whether that overturned the screen.
+        A screen of trial_duration_s / SCREEN_DIVISOR comes first, unless
+        one packet would move its DR by more than a tenth of the near band.
+        It decides the rate when its DR is 1 or outside the near band, or
+        while the search trusts screens. Otherwise the rate is measured at
+        full duration, without the screen in its mean or in the pool.
+        """
+        near_band = self.policy.near_band
+        screen_s = self.cfg.trial_duration_s / SCREEN_DIVISOR
+        reps, spent = 0, 0.0
+        if rate * screen_s * near_band >= 10.0:
+            try:
+                dr = delivery_ratio(self.driver.run_trial(rate, screen_s))
+            except Srv6BenchError as exc:
+                raise self._aborted(rate, exc) from exc
+            reps, spent = 1, screen_s
+        if not reps or not (self.trust or _stands_alone(dr, self.pass_mark, near_band)):
+            dr, n, s = self._full(rate)
+            reps, spent = reps + n, spent + s
+        passed = dr >= self.pass_mark
+        self.trace.entries.append(
+            TraceEntry(rate, dr, RAISE_LOW if passed else LOWER_HIGH, reps, spent)
+        )
+        return passed
 
-    The full-duration result replaces the entry, which keeps counting
-    every trial and second spent at its rate.
-    """
-    screened = trace.entries[i]
-    if screened.testbed_s >= cfg.trial_duration_s:  # a full-duration trial ran
-        return False
-    passed = _probe(driver, screened.tx_rate_pps, cfg, policy, trace, pool, screen=False)
-    full = trace.entries.pop()
-    trace.entries[i] = TraceEntry(
-        tx_rate_pps=full.tx_rate_pps,
-        delivery_ratio=full.delivery_ratio,
-        decision=full.decision,
-        repetitions=screened.repetitions + full.repetitions,
-        testbed_s=screened.testbed_s + full.testbed_s,
-    )
-    return passed != (screened.decision == RAISE_LOW)
+    def confirm(self, i) -> bool:
+        """Re-measure trace entry i at full duration if a screen alone
+        decided it, and say whether that overturned the screen. The result
+        replaces the entry, which keeps counting every trial and second."""
+        screened = self.trace.entries[i]
+        if screened.testbed_s >= self.cfg.trial_duration_s:  # a full-duration trial ran
+            return False
+        dr, n, s = self._full(screened.tx_rate_pps)
+        passed = dr >= self.pass_mark
+        self.trace.entries[i] = TraceEntry(
+            screened.tx_rate_pps, dr, RAISE_LOW if passed else LOWER_HIGH,
+            screened.repetitions + n, screened.testbed_s + s,
+        )
+        return passed != (screened.decision == RAISE_LOW)
 
+    def bounds(self, low, high) -> list[int]:
+        """Indices of the trace entries at the window's bounds, the one whose
+        DR sits nearest the pass mark, so likelier to be overturned, first
+        (ties in trace order): an overturn makes the other's confirmation moot."""
+        entries = self.trace.entries
+        at_bounds = [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
+        return sorted(at_bounds, key=lambda i: abs(entries[i].delivery_ratio - self.pass_mark))
 
-def _bisect(driver, floor, top, eps, cfg, policy, trace, pool):
-    """Halve the window around its middle until it is no wider than eps,
-    then confirm at full duration each final bound a screen decided.
+    def bisect(self) -> FinderResult:
+        """Halve the window around its middle until it is no wider than eps,
+        confirm each final bound a screen decided, and flag the result.
 
-    The window runs from the highest passed rate in the trace (floor if
-    none passed) to the lowest failed one (top if none failed). Bounds are
-    confirmed nearest-the-pass-mark first (see _bounds). A confirmation
-    that overturns its screen moves that bound, no trial is spent on the
-    other, and the halving goes on from there. From then on the
-    search trusts no screen near the threshold: such a screen decides no
-    new rate, and a window bound one alone decided is confirmed before
-    the window is halved. So a forwarder whose short trials read wrong
-    pays for full-duration trials where they matter, not for a search
-    steered by wrong screens.
-    Returns the final (low, high).
-    """
-    pass_mark = 1.0 - cfg.loss_threshold
-    entries = trace.entries
-    trust = True
-    while True:
-        low = max([e.tx_rate_pps for e in entries if e.decision == RAISE_LOW], default=floor)
-        high = min([e.tx_rate_pps for e in entries if e.decision == LOWER_HIGH], default=top)
-        # a confirmation rewrites only its own entry, so the others are read as they were
-        if not trust and any(
-            _confirm(driver, i, cfg, policy, trace, pool)
-            for i in _bounds(entries, low, high, pass_mark)
-            if not _stands_alone(entries[i].delivery_ratio, pass_mark, policy.near_band)
-        ):
-            continue
-        while high - low > eps:
-            tx = (low + high) / 2.0
-            if _probe(driver, tx, cfg, policy, trace, pool, trust=trust):
-                low = tx
-            else:
-                high = tx
-        bounds = _bounds(entries, low, high, pass_mark)
-        if not any(_confirm(driver, i, cfg, policy, trace, pool) for i in bounds):
-            return low, high
-        trust = False
-
-
-def _bounds(entries, low, high, pass_mark) -> list[int]:
-    """Indices of the trace entries at the window's bounds, the one whose
-    DR sits nearest the pass mark first (ties in trace order): that bound
-    is the likelier to be overturned, and an overturn makes the other's
-    confirmation moot."""
-    at_bounds = [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
-    return sorted(at_bounds, key=lambda i: abs(entries[i].delivery_ratio - pass_mark))
-
-
-def _result(low, high, trace) -> FinderResult:
-    """A finished search's result, flagged by the rule both finders share."""
-    decisions = {e.decision for e in trace.entries}
-    flags = ()
-    if decisions == {RAISE_LOW}:
-        flags = (FLAG_LINE_RATE_LIMITED,)
-    elif decisions == {LOWER_HIGH}:
-        flags = (FLAG_BELOW_SEARCH_FLOOR,)
-    return FinderResult(RateInterval(low, high), flags, trace)
+        The window runs from the highest passed rate in the trace (floor if
+        none passed) to the lowest failed one (top if none failed). A
+        confirmation that overturns its screen moves that bound, no trial
+        is spent on the other, and the halving goes on from there. From
+        then on the search trusts no screen near the threshold, and a
+        window bound one alone decided is confirmed before the window is
+        halved. So a forwarder whose short trials read wrong pays for
+        full-duration trials where they matter, not for a search steered
+        by wrong screens. A search in which no probe failed is flagged
+        line-rate-limited; one in which none passed, below-search-floor.
+        """
+        entries, near_band = self.trace.entries, self.policy.near_band
+        while True:
+            low = max([e.tx_rate_pps for e in entries if e.decision == RAISE_LOW], default=self.floor)
+            high = min([e.tx_rate_pps for e in entries if e.decision == LOWER_HIGH], default=self.top)
+            # a confirmation rewrites only its own entry, so the others are read as they were
+            if not self.trust and any(
+                self.confirm(i)
+                for i in self.bounds(low, high)
+                if not _stands_alone(entries[i].delivery_ratio, self.pass_mark, near_band)
+            ):
+                continue
+            while high - low > self.eps:
+                tx = (low + high) / 2.0
+                if self.probe(tx):
+                    low = tx
+                else:
+                    high = tx
+            if not any(self.confirm(i) for i in self.bounds(low, high)):
+                break
+            self.trust = False
+        flags = ()
+        if len({e.decision for e in entries}) == 1:  # no probe failed, or none passed
+            passed = entries[0].decision == RAISE_LOW
+            flags = (FLAG_LINE_RATE_LIMITED if passed else FLAG_BELOW_SEARCH_FLOOR,)
+        return FinderResult(RateInterval(low, high), flags, self.trace)
 
 
 def find_pdr(
@@ -362,28 +366,13 @@ def find_pdr(
     """Pure binary search for the partial drop rate.
 
     Halves the window around its middle point until the window is no
-    wider than the accuracy target. A search in which no probe failed is
-    flagged line-rate-limited; one in which none passed is flagged
-    below-search-floor. A window no wider than the accuracy target would
-    run no trial, so it is refused.
+    wider than the accuracy target (see _Search.bisect). A window no wider
+    than the accuracy target would run no trial, so it is refused.
     """
-    cfg = cfg or SearchConfig()
-    policy = policy or TrialPolicy()
-    if not cfg.accuracy_percent < cfg.max_percent - cfg.min_percent:
+    search = _Search(driver, line_packet_rate_pps, cfg, policy)
+    if not search.cfg.accuracy_percent < search.cfg.max_percent - search.cfg.min_percent:
         raise ValueError("accuracy_percent must be below max_percent - min_percent")
-    lpr = line_packet_rate_pps
-    trace = FinderTrace()
-    low, high = _bisect(
-        driver,
-        lpr * cfg.min_percent / 100.0,
-        lpr * cfg.max_percent / 100.0,
-        lpr * cfg.accuracy_percent / 100.0,
-        cfg,
-        policy,
-        trace,
-        SpreadPool(),
-    )
-    return _result(low, high, trace)
+    return search.bisect()
 
 
 def find_pdr_legacy(
@@ -396,26 +385,15 @@ def find_pdr_legacy(
     trial fails, then binary-search between the last passing and first
     failing rates. A failing floor (confirmed at full duration) collapses
     the interval onto it. Flagged as find_pdr flags its results."""
-    cfg = cfg or SearchConfig()
-    policy = policy or TrialPolicy()
-    lpr = line_packet_rate_pps
-    floor = lpr * cfg.min_percent / 100.0
-    max_rate = lpr * cfg.max_percent / 100.0
-    trace, pool = FinderTrace(), SpreadPool()
-    rate = floor
+    search = _Search(driver, line_packet_rate_pps, cfg, policy)
+    rate = search.floor
     # a failing floor collapses the search, so a screen alone may not fail it
-    passed = _probe(driver, rate, cfg, policy, trace, pool) or _confirm(
-        driver, 0, cfg, policy, trace, pool
-    )
+    passed = search.probe(rate) or search.confirm(0)
     # a doubling that would overshoot the window top is not probed
-    while passed and rate * 2.0 <= max_rate:
+    while passed and rate * 2.0 <= search.top:
         rate *= 2.0
-        passed = _probe(driver, rate, cfg, policy, trace, pool)
-
-    low, high = _bisect(
-        driver, floor, max_rate, lpr * cfg.accuracy_percent / 100.0, cfg, policy, trace, pool
-    )
-    return _result(low, high, trace)
+        passed = search.probe(rate)
+    return search.bisect()
 
 
 @dataclass(frozen=True)

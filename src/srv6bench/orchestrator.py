@@ -225,14 +225,26 @@ def _reject_unknown(doc: Mapping, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)}")
 
 
-# libyaml's scanner and parser under PyYAML's safe constructor and resolver:
-# the values of yaml.safe_load, parsed in C where PyYAML was built with libyaml
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml's scanner and parser under PyYAML's safe constructor and resolver: the values
+# of yaml.safe_load, parsed in C where PyYAML was built with libyaml, except that a key
+# written twice in one mapping is refused (a key may still override one `<<` merged in)
+class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    def construct_mapping(self, node, deep=False):
+        own = node.value if isinstance(node, yaml.MappingNode) else []  # before super() merges
+        own = [k for k, _ in own if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        keys = [self.construct_object(k) for k in own]  # built, and found hashable, by super()
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", own[i].start_mark
+                )
+        return mapping
 
 
 def _load_yaml(text: str, where: str) -> dict:
     try:
-        doc = yaml.load(text, Loader=_SAFE_LOADER)
+        doc = yaml.load(text, Loader=_SafeLoader)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml reads UTF-8: no lone surrogate
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
     if doc is None:
@@ -338,20 +350,8 @@ def parse_testbed_config(text: str) -> TestbedConfig:
 
     if doc.get("model") is None:
         raise ConfigError("testbed.model: required for the sim forwarder")
-    scalars = dict(_require_mapping(doc["model"], "testbed.model"))
-    if "capacity_pps" in scalars and "capacity_kpps" in scalars:
-        raise ConfigError("testbed.model: give capacity_pps or capacity_kpps, not both")
-    caps_key, scale = "capacity_pps", 1.0
-    if caps_key not in scalars:
-        caps_key, scale = "capacity_kpps", 1e3
-    capacities = _read(
-        scalars.pop(caps_key, {}), Mapping[BehaviorId, float], f"testbed.model.{caps_key}"
-    )
-    if not capacities:
-        raise ConfigError("testbed.model: need a non-empty capacity_pps or capacity_kpps map")
-    capacities = {b: c * scale for b, c in capacities.items()}
     # behavior_config is not read from the file: every behavior runs on the address plan
-    model = _build(ForwarderModel, scalars, "testbed.model", capacity_pps=capacities, behavior_config={})
+    model = _build(ForwarderModel, doc["model"], "testbed.model", behavior_config={})
     return TestbedConfig(forwarder_kind=kind, link=link, model=model)
 
 

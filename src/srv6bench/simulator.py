@@ -47,6 +47,8 @@ class ForwarderModel:
     behavior_config: Mapping[BehaviorId, BehaviorConfig] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not self.capacity_pps:
+            raise ValueError("capacity_pps must name at least one behavior")
         # written so that NaN fails every check
         if not all(0 < c < math.inf for c in self.capacity_pps.values()):
             raise ValueError("capacities must be positive and finite")

@@ -26,9 +26,9 @@ runs: 2
 TESTBED = """
 forwarder: sim
 model:
-  capacity_kpps:
-    End: 900
-    H.Encaps: 978
+  capacity_pps:
+    End: 900000
+    H.Encaps: 978000
 """
 
 
@@ -138,7 +138,7 @@ class TestRun:
         exp = tmp_path / "e.yaml"
         exp.write_text("behaviors: [End, PlainIPv4]\nruns: 1\npacket: {inner_size: 40}\n")
         tb = tmp_path / "t.yaml"
-        tb.write_text(TESTBED + "    PlainIPv4: 1000\n")
+        tb.write_text(TESTBED + "    PlainIPv4: 1000000\n")
         out = tmp_path / "o"
         assert run_cmd(exp, tb, out) == EXIT_PARTIAL
         end, plain = json.loads((out / "campaign.json").read_text())["behaviors"]
@@ -152,7 +152,7 @@ class TestRun:
         # a 100000 B inner packet overflows the 16-bit IPv6 payload length;
         # the codec says so before any setup step
         experiment = "behaviors: [End, PlainIPv6]\nruns: 1\npacket: {inner_size: 100000}\n"
-        testbed = TESTBED + "    PlainIPv6: 1221\n"
+        testbed = TESTBED + "    PlainIPv6: 1221000\n"
         exp = tmp_path / "e.yaml"
         exp.write_text(experiment)
         tb = tmp_path / "t.yaml"
@@ -213,7 +213,7 @@ class TestRun:
         exp = tmp_path / "e.yaml"
         exp.write_text("behaviors: [H.Insert]\nruns: 1\npacket: {inner_size: 65560}\n")
         tb = tmp_path / "t.yaml"
-        tb.write_text(TESTBED + "    H.Insert: 1000\n")
+        tb.write_text(TESTBED + "    H.Insert: 1000000\n")
         out = tmp_path / "o"
         assert run_cmd(exp, tb, out) == EXIT_PARTIAL
         (row,) = json.loads((out / "campaign.json").read_text())["behaviors"]
@@ -337,11 +337,11 @@ class TestRun:
             ),
             pytest.param("runs: true\n", TESTBED, "experiment.runs", id="runs-bool"),
             pytest.param(
-                "", TESTBED.replace("End: 900", "End: abc"), "testbed.model.capacity_kpps.End",
+                "", TESTBED.replace("End: 900000", "End: abc"), "testbed.model.capacity_pps.End",
                 id="capacity-str",
             ),
             pytest.param(
-                "", TESTBED.replace("End: 900", "End: -900"), "testbed.model",
+                "", TESTBED.replace("End: 900000", "End: -900000"), "testbed.model",
                 id="capacity-negative",
             ),
             pytest.param(
@@ -349,7 +349,7 @@ class TestRun:
                 id="loss_at_capacity-above-1",
             ),
             pytest.param(
-                "", TESTBED.replace("End: 900", "End: .nan"), "testbed.model",
+                "", TESTBED.replace("End: 900000", "End: .nan"), "testbed.model",
                 id="capacity-nan",
             ),
             pytest.param(
@@ -404,7 +404,7 @@ class TestRun:
                 "", TESTBED + "  seed: 1.7\n", "testbed.model.seed", id="seed-float",
             ),
             pytest.param(
-                "", TESTBED.replace("End: 900", "End: true"), "testbed.model.capacity_kpps.End",
+                "", TESTBED.replace("End: 900000", "End: true"), "testbed.model.capacity_pps.End",
                 id="capacity-bool",
             ),
             pytest.param(
@@ -412,8 +412,21 @@ class TestRun:
                 "testbed: unknown key(s) ['connection']", id="sim-connection",
             ),
             pytest.param(
-                "", TESTBED + "  capacity_pps: {End: 900000}\n",
-                "testbed.model: give capacity_pps or capacity_kpps, not both", id="capacity-both-units",
+                "", TESTBED.replace("capacity_pps", "capacity_kpps"),
+                "testbed.model: unknown key(s) ['capacity_kpps']", id="capacity_kpps-removed",
+            ),
+            pytest.param(
+                # ForwarderModel's own rule, reported at its key
+                "", "forwarder: sim\nmodel: {capacity_pps: {}}\n",
+                "testbed.model.capacity_pps must name at least one behavior", id="capacity-empty",
+            ),
+            pytest.param(
+                "runs: 3\nruns: 1\n", TESTBED,
+                "experiment: invalid YAML: duplicate key 'runs'", id="runs-twice",
+            ),
+            pytest.param(
+                "", TESTBED + "    End: 5000\n",
+                "testbed: invalid YAML: duplicate key 'End'", id="capacity-twice",
             ),
             pytest.param(
                 "search: {accuracy_percent: 99}\n", TESTBED,

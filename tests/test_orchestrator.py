@@ -40,9 +40,9 @@ forwarder: sim
 link:
   bit_rate_bps: 10000000000
 model:
-  capacity_kpps:
-    End: 900
-    End.DT6: 960
+  capacity_pps:
+    End: 900000
+    End.DT6: 960000
 """
 
 EXPERIMENT_YAML = """
@@ -69,7 +69,9 @@ def sim_testbed(capacities=None):
         pytest.param("link: {bit_rate_bps: 10e9}\n", id="10e9"),
         pytest.param("noise_sigma: .nan\nseed: .inf\n", id="nan-inf"),
         pytest.param("flag: true\nother: no\nnone: ~\n", id="bool-null"),
-        pytest.param("model: {capacity_kpps: {End: 900, End.T: 1.5e3}, seed: 0x1f}\n", id="flow-map"),
+        pytest.param("model: {capacity_pps: {End: 900000, End.T: 1.5e6}, seed: 0x1f}\n", id="flow-map"),
+        # a key may override one merged in by <<
+        pytest.param("base: &b {runs: 3}\nexp: {<<: *b, runs: 1}\n", id="merge-override"),
         pytest.param("behaviors: [End, 'End.DT6', \"H.Encaps\"]\nruns: 1_0\n", id="flow-list"),
     ],
 )
@@ -79,7 +81,12 @@ def test_load_yaml_returns_what_safe_load_returns(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["behaviors: [End\n", "a: b: c\n", "a: \x00\n", "a: *nope\n", "a: \ud800\n"]
+    "text",
+    [
+        "behaviors: [End\n", "a: b: c\n", "a: \x00\n", "a: *nope\n", "a: \ud800\n",
+        # a key written twice in one mapping, which safe_load would let the last one win
+        "runs: 3\nruns: 1\n", "m: {End: 900, End: 5}\n", "a: 1\n0x1: 2\n1: 3\n",
+    ],
 )
 def test_load_yaml_rejects_invalid_yaml(text):
     with pytest.raises(ConfigError, match="^experiment: invalid YAML: "):
@@ -167,8 +174,8 @@ class TestTestbedParsing:
     def test_sim_document(self):
         tb = parse_testbed_config(SIM_TESTBED_YAML)
         assert tb.forwarder_kind == "sim"
-        # kpps values scale to pps
-        assert tb.model.capacity_pps[BehaviorId.END] == 900e3
+        # capacities are read in pps, as written
+        assert tb.model.capacity_pps == {BehaviorId.END: 900e3, BehaviorId.END_DT6: 960e3}
 
     def test_pps_map_taken_verbatim(self):
         tb = parse_testbed_config(
@@ -180,7 +187,7 @@ class TestTestbedParsing:
         # YAML loads 10e9 as a string, and a quoted capacity is one too
         tb = parse_testbed_config(
             'forwarder: sim\nlink: {bit_rate_bps: 10e9}\n'
-            'model: {capacity_kpps: {End: "900"}}\n'
+            'model: {capacity_pps: {End: "900000"}}\n'
         )
         assert tb.link.line_bit_rate_bps == 10e9
         assert tb.model.capacity_pps[BehaviorId.END] == 900e3
@@ -192,7 +199,7 @@ class TestTestbedParsing:
     @pytest.mark.parametrize(
         "document, key",
         [
-            ("forwarder: sim\nmodel: {capacity_kpps: {End: 1}}\nconnection: {bogus: 1, port: x}\n",
+            ("forwarder: sim\nmodel: {capacity_pps: {End: 1}}\nconnection: {bogus: 1, port: x}\n",
              "connection"),
             ("forwarder: linux\nmodel: {capacity_pps: {End: 5}, bogus_key: 1}\n", "model"),
             ("forwarder: vpp\nmodel: {capacity_pps: {End: 5}, bogus_key: 1}\n", "model"),
@@ -210,13 +217,13 @@ class TestTestbedParsing:
     def test_unknown_model_key(self):
         with pytest.raises(ConfigError):
             parse_testbed_config(
-                "forwarder: sim\nmodel: {capacity_kpps: {End: 1}, warp: 9}\n"
+                "forwarder: sim\nmodel: {capacity_pps: {End: 1}, warp: 9}\n"
             )
 
     def test_unknown_capacity_behavior(self):
         with pytest.raises(ConfigError):
             parse_testbed_config(
-                "forwarder: sim\nmodel: {capacity_kpps: {Endd: 1}}\n"
+                "forwarder: sim\nmodel: {capacity_pps: {Endd: 1}}\n"
             )
 
 
@@ -244,8 +251,8 @@ DOCUMENTS = [
     ),
     (
         parse_testbed_config,
-        {"forwarder": "sim", "model": {"capacity_kpps": {"End": 900}}},
-        [("link", "bit_rate_bps"), ("model", "capacity_kpps", "End"),
+        {"forwarder": "sim", "model": {"capacity_pps": {"End": 900000}}},
+        [("link", "bit_rate_bps"), ("model", "capacity_pps", "End"),
          ("model", "loss_at_capacity"), ("model", "curve_exponent"),
          ("model", "noise_sigma"), ("model", "seed")],
     ),

@@ -228,6 +228,10 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ForwarderModel({END: 0})
 
+    def test_needs_a_capacity(self):
+        with pytest.raises(ValueError, match="^capacity_pps must name at least one behavior$"):
+            ForwarderModel({})
+
     def test_bad_loss(self):
         with pytest.raises(ValueError):
             model(loss_at_capacity=1.0)
