@@ -126,8 +126,8 @@ def _cmd_run(args) -> int:
         testbed_text = Path(args.testbed).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read configuration: {exc}") from None
-    experiment = parse_experiment_config(experiment_text)
-    testbed = parse_testbed_config(testbed_text)
+    experiment = parse_experiment_config(experiment_text, args.experiment)
+    testbed = parse_testbed_config(testbed_text, args.testbed)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,9 @@ trace of every trial they ran. Each call builds one _Search, which holds
 the search's state and runs its steps: probe, bisect and confirm. A short
 screening trial decides each rate probed; every reported bound rests on
 full-duration trials, so a wrong screen costs trials, not accuracy. Once a
-confirmation overturns a screen, the search stops trusting screens near
-the threshold. Its spread pool lets one full-duration trial decide a
-later near-band rate.
+confirmation overturns a screen in fewer trials than the repetitions cap,
+the search stops trusting screens near the threshold. Its spread pool
+lets one full-duration trial decide a later near-band rate.
 """
 
 from __future__ import annotations
@@ -322,13 +322,13 @@ class _Search:
         The window runs from the highest passed rate in the trace (floor if
         none passed) to the lowest failed one (top if none failed). A
         confirmation that overturns its screen moves that bound, no trial
-        is spent on the other, and the halving goes on from there. From
-        then on the search trusts no screen near the threshold, and a
-        window bound one alone decided is confirmed before the window is
-        halved. So a forwarder whose short trials read wrong pays for
-        full-duration trials where they matter, not for a search steered
-        by wrong screens. A search in which no probe failed is flagged
-        line-rate-limited; one in which none passed, below-search-floor.
+        is spent on the other, and the halving goes on from there. Unless
+        its batch ran to the policy.repetitions cap, which says nothing of
+        the screens, the search then trusts no screen near the threshold
+        and confirms a window bound one alone decided before halving:
+        wrong screens cost full-duration trials, not a search they steer.
+        A search in which no probe failed is flagged line-rate-limited;
+        one in which none passed, below-search-floor.
         """
         entries, near_band = self.trace.entries, self.policy.near_band
         while True:
@@ -347,9 +347,11 @@ class _Search:
                     low = tx
                 else:
                     high = tx
-            if not any(self.confirm(i) for i in self.bounds(low, high)):
+            overturned = next((i for i in self.bounds(low, high) if self.confirm(i)), None)
+            if overturned is None:
                 break
-            self.trust = False
+            # its screen, then a batch that ran to the cap, keeps the screens trusted
+            self.trust = self.trust and entries[overturned].repetitions > self.policy.repetitions
         flags = ()
         if len({e.decision for e in entries}) == 1:  # no probe failed, or none passed
             passed = entries[0].decision == RAISE_LOW

@@ -242,9 +242,11 @@ class _SafeLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return mapping
 
 
-def _load_yaml(text: str, where: str) -> dict:
+def _load_yaml(text: str, where: str, name: Optional[str] = None) -> dict:
+    stream = io.StringIO(text)
+    stream.name = name or where  # what PyYAML's error marks call the document
     try:
-        doc = yaml.load(text, Loader=_SafeLoader)
+        doc = yaml.load(stream, Loader=_SafeLoader)
     except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml reads UTF-8: no lone surrogate
         raise ConfigError(f"{where}: invalid YAML: {exc}") from exc
     if doc is None:
@@ -314,8 +316,8 @@ def _build(cls, doc: Any, where: str, **given):
         raise ConfigError(f"{where}{'.' if first_word.split('.')[0] in kinds else ': '}{exc}") from exc
 
 
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    doc = _load_yaml(text, "experiment")
+def parse_experiment_config(text: str, name: Optional[str] = None) -> ExperimentConfig:
+    doc = _load_yaml(text, "experiment", name)
     experiment = _build(ExperimentConfig, doc, "experiment")
     if experiment.experiment_type == "ndr":
         # NDR is the zero-loss-threshold special case
@@ -327,8 +329,8 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     return experiment
 
 
-def parse_testbed_config(text: str) -> TestbedConfig:
-    doc = _load_yaml(text, "testbed")
+def parse_testbed_config(text: str, name: Optional[str] = None) -> TestbedConfig:
+    doc = _load_yaml(text, "testbed", name)
     kind = doc.get("forwarder")
     if kind not in FORWARDER_KINDS:
         raise ConfigError(

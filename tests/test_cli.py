@@ -465,6 +465,19 @@ class TestRun:
         assert err.startswith("error: cannot read configuration: 'utf-8' codec can't decode")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["experiment", "testbed"])
+    def test_a_yaml_error_names_the_file(self, bad, configs, tmp_path, capsys):
+        files = dict(zip(("experiment", "testbed"), configs))
+        lines = len(files[bad].read_text().splitlines())
+        files[bad].write_text(files[bad].read_text() + "bogus: 1\n" * 2)
+        out = tmp_path / "o"
+        assert run_cmd(files["experiment"], files["testbed"], out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid YAML: duplicate key 'bogus'")
+        assert f'in "{files[bad]}", line {lines + 2}, column 1' in err
+        assert "<unicode string>" not in err
+        assert not out.exists()
+
 
 def run_shipped(noise_sigma, tmp_path):
     """Run the shipped sim configs at noise_sigma; returns the output directory."""
@@ -516,8 +529,8 @@ PINNED_OUTPUTS = {
     "noisy": {
         "campaign.csv": "8f4236e6f1212028477387027cbb8413f62dbaf5c26d7876acaf1e9bd709ccaf",
         "campaign.json": "ca32b8c4c93b93bd43f24ba150c6ac4c7532f12bdc6958b6ac0b1ff3dd02e189",
-        "plot_data.csv": "62b22c77d3f37733b36afb0ee1ddd70d380456d4ee72112b603ffcefbea6439a",
-        "trace_End.json": "9fd7f54d6a94352d58f3b217150919c80e0d336f1fd51382a0a3d0e3dcbc4aa5",
+        "plot_data.csv": "d863cc85f0c0c1f89d4b4bc3bee4c8bb3516ad899422ce7c67a5ee734a8fdb7b",
+        "trace_End.json": "c07041009702b639ccb208a393d2fa1b82fee2d75b7a483a26b426d3afa9a2e9",
         "trace_End_DT6.json": "eba34d86c03c50d71fb0bae7c75adcf149c9e0ab3ca4efaa91945d649b61f08a",
         "trace_H_Encaps.json": "ace1e3b98a2d9e4b738b97723dde8d728b7ebc91ae8d6fd9d2d1e380cf12eb0c",
         "trace_PlainIPv6.json": "98282cb08e339b833164c042d24a7879c94ced40791bf3d2787bdead082c42fd",

@@ -472,6 +472,28 @@ class ScreensPassAboveTheKnee:
         return TrialSample(tx_packets=tx, rx_packets=round(tx * dr), duration_s=duration_s)
 
 
+class NearBandAboveTheKnee:
+    """DR 1 up to `knee` and 0.98 above `top`. Between them a screening
+    trial reads 0.996, just over the 0.995 pass mark, and full-duration
+    trials read the DRs of `full` in turn, round and round. Records every
+    (rate, duration) offered."""
+
+    def __init__(self, knee, top, full, full_s=10.0):
+        self.knee, self.top, self.full, self.full_s = knee, top, itertools.cycle(full), full_s
+        self.calls = []
+
+    def run_trial(self, rate_pps, duration_s):
+        self.calls.append((rate_pps, duration_s))
+        tx = round(rate_pps * duration_s)
+        if rate_pps <= self.knee:
+            dr = 1.0
+        elif rate_pps > self.top:
+            dr = 0.98
+        else:
+            dr = next(self.full) if duration_s >= self.full_s else 0.996
+        return TrialSample(tx_packets=tx, rx_packets=round(tx * dr), duration_s=duration_s)
+
+
 class TestScreening:
     CFG = SearchConfig()
 
@@ -572,6 +594,42 @@ class TestScreening:
         iv = result.interval
         assert iv.low_pps <= knee < iv.high_pps
         assert {iv.low_pps, iv.high_pps} <= full_rates
+
+    @pytest.mark.parametrize(
+        "full, batch, screens_decide",
+        [
+            # 5 DRs whose mean, 0.9948, sits inside its t interval: undecided
+            ((0.994, 0.9985, 0.9915, 0.9985, 0.9915), 5, True),
+            # 2 equal DRs below the pass mark decide it
+            ((0.994,), 2, False),
+        ],
+        ids=["undecided-overturn", "decided-overturn"],
+    )
+    def test_only_a_decided_overturn_stops_screens_deciding_rates(self, full, batch, screens_decide):
+        # the first halving ends on a low bound whose near-band screen
+        # passed; its full-duration batch fails it. A batch that ran to the
+        # repetitions cap undecided is no evidence that screens read off, so
+        # the search still lets a later near-band screen decide its rate
+        knee, top = 0.3 * LPR_64, 0.35 * LPR_64
+        d = NearBandAboveTheKnee(knee, top, full)
+        result = find_pdr(d, LPR_64, self.CFG)
+        full_s = self.CFG.trial_duration_s
+        first = next(i for i, (_, s) in enumerate(d.calls) if s == full_s)
+        confirmed = list(itertools.takewhile(lambda c: c == d.calls[first], d.calls[first:]))
+        assert len(confirmed) == batch
+        rate = d.calls[first][0]
+        assert knee < rate <= top
+        entry = next(e for e in result.trace.entries if e.tx_rate_pps == rate)
+        assert (entry.decision, entry.repetitions) == ("lower-high", 1 + batch)
+        later = d.calls[first + batch:]
+        decided_by_screen = [
+            r for (r, s), (following, _) in zip(later, later[1:])
+            if s < full_s and knee < r <= top and following != r
+        ]
+        assert bool(decided_by_screen) is screens_decide
+        iv = result.interval
+        assert iv.low_pps <= knee < iv.high_pps
+        assert {iv.low_pps, iv.high_pps} <= {r for r, s in d.calls if s == full_s}
 
     def test_quickstart_end_search_cost(self):
         # 4 far rates and 1 near-band rate each decided by one screen, plus

@@ -93,6 +93,17 @@ def test_load_yaml_rejects_invalid_yaml(text):
         _load_yaml(text, "experiment")
 
 
+@pytest.mark.parametrize(
+    "parse, role", [(parse_experiment_config, "experiment"), (parse_testbed_config, "testbed")]
+)
+def test_a_yaml_error_names_the_document(parse, role):
+    # plain text is named by its role, and a file by the name it is given
+    with pytest.raises(ConfigError, match=f'^{role}: invalid YAML: .*\n  in "{role}", line 2,'):
+        parse("a: 1\na: 2\n")
+    with pytest.raises(ConfigError, match='\n  in "lab/x.yaml", line 2,'):
+        parse("a: 1\na: 2\n", "lab/x.yaml")
+
+
 class TestExperimentParsing:
     def test_quickstart_document(self):
         cfg = parse_experiment_config(EXPERIMENT_YAML)
