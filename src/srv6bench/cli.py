@@ -160,7 +160,8 @@ def _cmd_report(args) -> int:
     try:
         doc = json.loads(Path(args.campaign).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read campaign file: {exc}") from None
+        where = "" if isinstance(exc, OSError) else f' in "{args.campaign}"'  # OSError names it
+        raise ConfigError(f"cannot read campaign file: {exc}{where}") from None
     print(render_campaign(doc, args.format), end="")
     return EXIT_OK
 

@@ -169,7 +169,8 @@ def _spread(drs: list[float]) -> tuple[float, float]:
 def _decided(drs: list[float], pass_mark: float, prior_squares: float, prior_df: int) -> bool:
     """Whether the delivery ratios put their mean farther from the pass
     mark than its 95% Student-t half-width t * s / sqrt(n), s pooled from
-    these DRs and the prior batches' squares. Needs one degree of freedom."""
+    these DRs and the prior batches' squares. Needs one degree of freedom.
+    The 95% is per look, uncorrected for repeated looks or the pooled prior."""
     n = len(drs)
     mean_dev, squares = _spread(drs)
     gap = drs[0] - pass_mark + mean_dev
@@ -190,8 +191,10 @@ def evaluate_point(
     A single trial stands when its DR is 1 or comfortably away from the
     threshold. Inside the near band the trial is repeated until the DRs
     decide the threshold (their mean outside its 95% Student-t interval)
-    or policy.repetitions have run. The interval's spread is pooled from
-    the batch and the pool's earlier batches, with t_95(pool.df + n - 1).
+    or policy.repetitions have run. It is tested after every trial at 95%
+    per look, uncorrected for repeated looks or the pooled prior. The
+    interval's spread is pooled from the batch and the pool's earlier
+    batches, with t_95(pool.df + n - 1).
     With an empty pool that takes two DRs: two equal DRs off the pass
     mark decide it, and two that differ must put their mean more than
     t_95(1) = 12.706 standard errors from it. With a pool, one DR can.

@@ -26,13 +26,14 @@ import yaml
 
 from . import __version__
 from .catalog import BehaviorId, lookup, traffic_requirement
-from .errors import ConfigError, ExperimentAbortedError, Srv6BenchError
+from .errors import ConfigError, Srv6BenchError
 from .finder import (
     FinderResult,
     FinderTrace,
     RateInterval,
     SearchConfig,
     TrialPolicy,
+    ValidationResult,
     find_pdr,
     find_pdr_legacy,
     validate_pdr,
@@ -142,9 +143,7 @@ def recipe_for(behavior: BehaviorId, forwarder_kind: str) -> tuple[tuple[str, st
     """A behavior's rendered (setup, undo) command pairs, in setup order."""
     spec = lookup(behavior)
     if not spec.measured:
-        raise Srv6BenchError(
-            f"{spec.id} is not measurable: no semantics/recipe"
-        )
+        raise Srv6BenchError(f"{spec.id} is not measurable: no semantics/recipe")
     if forwarder_kind == "sim":
         name = spec.id.value
         pairs = ((f"sim set-behavior {name}", f"sim clear-behavior {name}"),)
@@ -333,9 +332,7 @@ def parse_testbed_config(text: str, name: Optional[str] = None) -> TestbedConfig
     doc = _load_yaml(text, "testbed", name)
     kind = doc.get("forwarder")
     if kind not in FORWARDER_KINDS:
-        raise ConfigError(
-            f"testbed.forwarder: must be one of {', '.join(FORWARDER_KINDS)}"
-        )
+        raise ConfigError(f"testbed.forwarder: must be one of {', '.join(FORWARDER_KINDS)}")
     # a remote forwarder is reached through the executor a campaign is given
     sections = ["forwarder", "link", "model"] if kind == "sim" else ["forwarder", "link"]
     _reject_unknown(doc, sections, "testbed")
@@ -385,16 +382,37 @@ class RecordingExecutor:
 
 @dataclass(frozen=True)
 class BehaviorResult:
-    """One behavior's campaign outcome: its interval, stats and traces, or its error."""
+    """One behavior's campaign outcome: the validation of its runs, its error,
+    or both (a teardown step failed after the last run). `interval` and `flags`
+    are the last run's, `stats` is over every run's midpoint, and `traces` are
+    every run's, or those an aborted search's error carried."""
 
     behavior: BehaviorId
     frame_size: Optional[int] = None
     line_packet_rate_pps: Optional[float] = None
-    interval: Optional[RateInterval] = None
-    flags: tuple[str, ...] = ()
-    stats: Optional[SummaryStats] = None
-    traces: tuple[FinderTrace, ...] = ()
+    validation: Optional[ValidationResult] = None
+    aborted_traces: tuple[FinderTrace, ...] = ()  # the finished runs, then the aborted one's
     error: Optional[str] = None
+
+    @property
+    def _last_run(self) -> Optional[FinderResult]:
+        return self.validation.results[-1] if self.validation else None
+
+    @property
+    def interval(self) -> Optional[RateInterval]:
+        return self._last_run.interval if self.validation else None
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        return self._last_run.flags if self.validation else ()
+
+    @property
+    def stats(self) -> Optional[SummaryStats]:
+        return self.validation.stats if self.validation else None
+
+    @property
+    def traces(self) -> tuple[FinderTrace, ...]:
+        return tuple(r.trace for r in self.validation.results) if self.validation else self.aborted_traces
 
 
 @dataclass
@@ -403,7 +421,6 @@ class CampaignResult:
 
     forwarder_kind: str
     entries: list[BehaviorResult]
-    version: str = __version__
     started_at: str = ""
     finished_at: str = ""
 
@@ -413,7 +430,7 @@ class CampaignResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": __version__,
             "forwarder": self.forwarder_kind,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
@@ -569,10 +586,8 @@ def run_campaign(
         started_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )
     for behavior in experiment.behaviors:
-        frame_size = lpr = None
-        undos = []
-        measured = {}
-        errors = []
+        frame_size = lpr = validation = None
+        undos, errors, aborted = [], [], ()
         try:
             template, recipe = resolve(behavior, testbed, experiment.packet)
             frame_size = template.frame_size
@@ -593,32 +608,15 @@ def run_campaign(
                 runs=experiment.runs,
                 algorithm=algorithm,
             )
-            last = validation.results[-1]
-            measured = dict(
-                interval=last.interval,
-                flags=last.flags,
-                stats=validation.stats,
-                traces=tuple(r.trace for r in validation.results),
-            )
-        except ExperimentAbortedError as exc:
-            errors.append(str(exc))
-            # the finished runs, then the rates the aborted one probed
-            measured = dict(traces=tuple(t for t in exc.traces if t.entries))
         except Srv6BenchError as exc:
             errors.append(str(exc))
+            aborted = tuple(t for t in getattr(exc, "traces", ()) if t.entries)
         finally:
             for step in reversed(undos):
                 status, output = executor.execute(step)
                 if status != 0:
                     errors.append(f"teardown step failed ({status}): {step}: {output}")
-        result.entries.append(
-            BehaviorResult(
-                behavior=behavior,
-                frame_size=frame_size,
-                line_packet_rate_pps=lpr,
-                error="; ".join(errors) or None,
-                **measured,
-            )
-        )
+        error = "; ".join(errors) or None
+        result.entries.append(BehaviorResult(behavior, frame_size, lpr, validation, aborted, error))
     result.finished_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return result

@@ -684,6 +684,20 @@ class TestOtherCommands:
         assert err.startswith("error: cannot read campaign file: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize(
+        "data, cause",
+        [(b'{"a": 1,}', "Expecting property name"), (b'{"a": "caf\xe9"}', "'utf-8' codec")],
+        ids=["json", "non-utf8"],
+    )
+    def test_report_names_a_campaign_file_it_cannot_parse(self, data, cause, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["report", "--campaign", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: cannot read campaign file: {cause}")
+        assert err.rstrip("\n").endswith(f' in "{path}"')
+        assert out == ""
+
+    @pytest.mark.parametrize(
         "doc",
         [
             '{"behaviors": [{"behavior": "End"}]}',

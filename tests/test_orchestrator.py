@@ -12,9 +12,10 @@ from hypothesis import given, strategies as st
 from srv6bench.catalog import BehaviorId
 from srv6bench.cli import EXIT_PARTIAL, _write_outputs, main
 from srv6bench.errors import ConfigError, Srv6BenchError
-from srv6bench.finder import SearchConfig, TrialPolicy, find_pdr
+from srv6bench.finder import SearchConfig, TrialPolicy, find_pdr, validate_pdr
 from srv6bench.orchestrator import (
     ADDRESS_PLAN,
+    CampaignResult,
     ExperimentConfig,
     RecordingExecutor,
     TestbedConfig as BenchTestbedConfig,
@@ -31,7 +32,7 @@ from srv6bench.orchestrator import (
     run_campaign,
 )
 from srv6bench.packet import BehaviorConfig, Sid, apply_behavior
-from srv6bench.ratemath import LinkSpec, TrialSample
+from srv6bench.ratemath import LinkSpec, TrialSample, line_packet_rate
 from srv6bench.simulator import ForwarderModel, SimDriver
 from conftest import SHIPPED
 
@@ -548,6 +549,37 @@ class TestCampaign:
         result = run_campaign(experiment, sim_testbed(), executor=FailTeardown())
         assert result.partial
         assert "teardown step failed (1): sim clear-behavior End: gone" in result.entries[0].error
+
+    def test_a_failed_teardown_keeps_the_finished_runs(self, tmp_path):
+        """A behavior whose teardown fails after its last run reports both
+        the validation and the error. Noise makes each run's interval differ,
+        so the reported one is seen to be the last run's."""
+        class FailTeardown(RecordingExecutor):
+            def execute(self, command):
+                super().execute(command)
+                return (1, "gone") if "clear-behavior" in command else (0, "")
+
+        runs = 3
+        experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=runs)
+        model = ForwarderModel({BehaviorId.END: 900e3}, noise_sigma=0.002, seed=3)
+        testbed = dataclasses.replace(sim_testbed(), model=model)
+        (entry,) = run_campaign(experiment, testbed, executor=FailTeardown()).entries
+        template = packet_for(BehaviorId.END)
+        lpr = line_packet_rate(testbed.link, template.frame_size)
+        expected = validate_pdr(SimDriver(model, BehaviorId.END, template), lpr, runs=runs)
+        first, *_, last = expected.results
+        assert first.interval != last.interval
+        assert entry.error == "teardown step failed (1): sim clear-behavior End: gone"
+        assert (entry.interval, entry.flags) == (last.interval, last.flags)
+        assert entry.stats == expected.stats and entry.stats.n == runs
+        assert entry.traces == tuple(r.trace for r in expected.results)
+
+        _write_outputs(CampaignResult("sim", [entry]), tmp_path)
+        (row,) = json.loads((tmp_path / "campaign.json").read_text())["behaviors"]
+        assert (row["pdr_low_pps"], row["pdr_high_pps"]) == (last.interval.low_pps, last.interval.high_pps)
+        assert row["stats"]["n"] == runs
+        assert row["error"] == entry.error
+        assert len(json.loads((tmp_path / "trace_End.json").read_text())) == runs
 
     def test_teardown_runs_even_when_the_search_dies(self):
         experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=1)

@@ -5,6 +5,7 @@ field layout so the codec is checked against something other than
 itself.
 """
 
+import hashlib
 import ipaddress
 import struct
 from dataclasses import replace
@@ -33,6 +34,7 @@ from srv6bench.packet import (
     NEXT_HEADER_ROUTING,
     PacketTemplate,
     Payload,
+    SID_PLAN,
     SegmentRoutingHeader,
     Sid,
     SUT_MAC,
@@ -627,3 +629,105 @@ def test_inner_destinations_lie_in_the_routed_prefixes():
     prefix4 = ipaddress.IPv4Network(ADDRESS_PLAN["inner_prefix4"])
     assert ipaddress.IPv6Address(INNER_DST6) in prefix6
     assert ipaddress.IPv4Address(INNER_DST4) in prefix4
+
+
+# sha256 of each measured behavior's encoded test frame on the address plan,
+# at inner sizes 64, 700 and 1400 B, and of the frame apply_behavior forwards
+# from it. These are the only pins of forwarded bytes: the campaign digests
+# see frame sizes alone, so a transform or codec change that keeps sizes
+# shows here first.
+OFFERED_SHA256 = {
+    ("H.Insert", 64): "f8fd871091c899c2330cd5c1134c7e6e1aac55457170bdd3d2b460f4690603ae",
+    ("H.Insert", 700): "d138c56db0e3817936c0ba86bf63bd0c2470673493657750ef513e11e6bf2d48",
+    ("H.Insert", 1400): "27085612628cf5577a6cd90411f14c1a23f6b3b2c19f4b50eb6dd2f89b55f582",
+    ("H.Encaps", 64): "f8fd871091c899c2330cd5c1134c7e6e1aac55457170bdd3d2b460f4690603ae",
+    ("H.Encaps", 700): "d138c56db0e3817936c0ba86bf63bd0c2470673493657750ef513e11e6bf2d48",
+    ("H.Encaps", 1400): "27085612628cf5577a6cd90411f14c1a23f6b3b2c19f4b50eb6dd2f89b55f582",
+    ("H.Encaps.L2", 64): "a5bb14000a21bab68645012516371d4cfb14f1b9be19c5b930974852637d575c",
+    ("H.Encaps.L2", 700): "d7e6caacfed999011b0d79d123e2f3c51db36d4a8602c67b788a2d85c3a9340d",
+    ("H.Encaps.L2", 1400): "f7ee7c29ee5cc87cb5d4ab9a9ecd313f4a9a2c1e893450bc5ce7d76895339664",
+    ("End", 64): "d1b60adef1d6a22b1073293ea4d46021bd7f985051cf0c11ec473eb0189eee95",
+    ("End", 700): "58e79ba7672e2d64a10720b935e213aed29388227d50da541745463789d7f7dd",
+    ("End", 1400): "5776c4ca1dc1c80eccf7abafc4871cded045887301b5eefee06d852c0f624f77",
+    ("End.T", 64): "d1b60adef1d6a22b1073293ea4d46021bd7f985051cf0c11ec473eb0189eee95",
+    ("End.T", 700): "58e79ba7672e2d64a10720b935e213aed29388227d50da541745463789d7f7dd",
+    ("End.T", 1400): "5776c4ca1dc1c80eccf7abafc4871cded045887301b5eefee06d852c0f624f77",
+    ("End.X", 64): "d1b60adef1d6a22b1073293ea4d46021bd7f985051cf0c11ec473eb0189eee95",
+    ("End.X", 700): "58e79ba7672e2d64a10720b935e213aed29388227d50da541745463789d7f7dd",
+    ("End.X", 1400): "5776c4ca1dc1c80eccf7abafc4871cded045887301b5eefee06d852c0f624f77",
+    ("End.DT4", 64): "3a48e5b0155fc2dd2418ad4c2c38457f484ab051f07cb237c3c24948c1885b20",
+    ("End.DT4", 700): "f0f6fb94f27b30fc3051d6fca95dc55e1c016cb45146f66b8e60c68646ad2cf5",
+    ("End.DT4", 1400): "b5dd29ebebad87522c9b87632196e50a885b531ac3bca4a67bdb63e8c93411ce",
+    ("End.DT6", 64): "5432850485bbcd05c4bdf88142e590f86e0991cfb6885abf50ea9e89278d754a",
+    ("End.DT6", 700): "6ee96fb0287d28552e5acc2acbcbbd83bc3951d3e7b8f0eabc18f36e0fd416e5",
+    ("End.DT6", 1400): "2ff6e45c3ce76585f9b3a07197b300ccc6764d20b658a922d13adcd94586052f",
+    ("End.DX2", 64): "a3d329df7baa3933bda82c7a36a9f5e0ac02bb2091c4f96ed9fe497a4eaea81e",
+    ("End.DX2", 700): "4c8049a097e06b866c8f3e536d45d2ff0b72d79cf88b570fc8f35b56cf54a2bb",
+    ("End.DX2", 1400): "010764b0d512d6e5f9a848baa6e037f24b7c6f3aec07bad19e3a69c1365dd634",
+    ("End.DX4", 64): "3a48e5b0155fc2dd2418ad4c2c38457f484ab051f07cb237c3c24948c1885b20",
+    ("End.DX4", 700): "f0f6fb94f27b30fc3051d6fca95dc55e1c016cb45146f66b8e60c68646ad2cf5",
+    ("End.DX4", 1400): "b5dd29ebebad87522c9b87632196e50a885b531ac3bca4a67bdb63e8c93411ce",
+    ("End.DX6", 64): "5432850485bbcd05c4bdf88142e590f86e0991cfb6885abf50ea9e89278d754a",
+    ("End.DX6", 700): "6ee96fb0287d28552e5acc2acbcbbd83bc3951d3e7b8f0eabc18f36e0fd416e5",
+    ("End.DX6", 1400): "2ff6e45c3ce76585f9b3a07197b300ccc6764d20b658a922d13adcd94586052f",
+    ("PlainIPv4", 64): "ec1a32656edcb693d3e6bd326d6283a1a92955099fbf7ee8437a284c3361e799",
+    ("PlainIPv4", 700): "49db6eea267dfa3ad0dda068b0bb2889251c913635bcec2bc1fd1fbbca4871dd",
+    ("PlainIPv4", 1400): "2714cb351d70f6dbceb75f50f9ba63573c367a5d2f795f01f08be10f8a42b09e",
+    ("PlainIPv6", 64): "f8fd871091c899c2330cd5c1134c7e6e1aac55457170bdd3d2b460f4690603ae",
+    ("PlainIPv6", 700): "d138c56db0e3817936c0ba86bf63bd0c2470673493657750ef513e11e6bf2d48",
+    ("PlainIPv6", 1400): "27085612628cf5577a6cd90411f14c1a23f6b3b2c19f4b50eb6dd2f89b55f582",
+}
+FORWARDED_SHA256 = {
+    ("H.Insert", 64): "65409816cb27c17e5fbe3819c44dfafb5b6ac84f5c51865d70a1a2e4c321cffa",
+    ("H.Insert", 700): "242bf9ecf7fcbd29e3642fcd3e297a5bfd36ebac243af740780af1186bdf1d95",
+    ("H.Insert", 1400): "c2fd8cbf8bbe4f2e63149424c3cc42aa29ec02b1195aef9c7aab7f63a83a1b73",
+    ("H.Encaps", 64): "0231c33834256775b979d2d585a5db63f7c9548ae6c9d781a190b28d235f4cbd",
+    ("H.Encaps", 700): "ac4d6b55137b0407458b414a52ab6da73d78ece5e284307edabd4778419f36c6",
+    ("H.Encaps", 1400): "3dafe47802c68d7c7f4ab93cc88bd3e54c556896e25990769cd70028aaa5e1df",
+    ("H.Encaps.L2", 64): "a933eaa6a7f1e727c8c003a7b250dffc4e5bfe97feba0f81a7c1901938c0ca33",
+    ("H.Encaps.L2", 700): "36103a42a791dd876613c039b3d3ba5eb730cb32c0193dbeb69396c0901d1d9f",
+    ("H.Encaps.L2", 1400): "047db7bbd3781a026bc1a6cc0b8c56d145f575f596e07580cbf899ad4b54843c",
+    ("End", 64): "f46b4280c0d7d9d16c7e76d3bacb359a0650237b45533e0b7dc8774204700f4f",
+    ("End", 700): "5c588ee19e228f4539b1d93daa8a3d4304e782354d2951d9c3bef17bdc108e3a",
+    ("End", 1400): "4a3a5c32b6369c6489e141298e2238c18d98cc65e16b1c55f1e1f3013908dd97",
+    ("End.T", 64): "f46b4280c0d7d9d16c7e76d3bacb359a0650237b45533e0b7dc8774204700f4f",
+    ("End.T", 700): "5c588ee19e228f4539b1d93daa8a3d4304e782354d2951d9c3bef17bdc108e3a",
+    ("End.T", 1400): "4a3a5c32b6369c6489e141298e2238c18d98cc65e16b1c55f1e1f3013908dd97",
+    ("End.X", 64): "f46b4280c0d7d9d16c7e76d3bacb359a0650237b45533e0b7dc8774204700f4f",
+    ("End.X", 700): "5c588ee19e228f4539b1d93daa8a3d4304e782354d2951d9c3bef17bdc108e3a",
+    ("End.X", 1400): "4a3a5c32b6369c6489e141298e2238c18d98cc65e16b1c55f1e1f3013908dd97",
+    ("End.DT4", 64): "ec1a32656edcb693d3e6bd326d6283a1a92955099fbf7ee8437a284c3361e799",
+    ("End.DT4", 700): "49db6eea267dfa3ad0dda068b0bb2889251c913635bcec2bc1fd1fbbca4871dd",
+    ("End.DT4", 1400): "2714cb351d70f6dbceb75f50f9ba63573c367a5d2f795f01f08be10f8a42b09e",
+    ("End.DT6", 64): "f8fd871091c899c2330cd5c1134c7e6e1aac55457170bdd3d2b460f4690603ae",
+    ("End.DT6", 700): "d138c56db0e3817936c0ba86bf63bd0c2470673493657750ef513e11e6bf2d48",
+    ("End.DT6", 1400): "27085612628cf5577a6cd90411f14c1a23f6b3b2c19f4b50eb6dd2f89b55f582",
+    ("End.DX2", 64): "a5bb14000a21bab68645012516371d4cfb14f1b9be19c5b930974852637d575c",
+    ("End.DX2", 700): "d7e6caacfed999011b0d79d123e2f3c51db36d4a8602c67b788a2d85c3a9340d",
+    ("End.DX2", 1400): "f7ee7c29ee5cc87cb5d4ab9a9ecd313f4a9a2c1e893450bc5ce7d76895339664",
+    ("End.DX4", 64): "ec1a32656edcb693d3e6bd326d6283a1a92955099fbf7ee8437a284c3361e799",
+    ("End.DX4", 700): "49db6eea267dfa3ad0dda068b0bb2889251c913635bcec2bc1fd1fbbca4871dd",
+    ("End.DX4", 1400): "2714cb351d70f6dbceb75f50f9ba63573c367a5d2f795f01f08be10f8a42b09e",
+    ("End.DX6", 64): "f8fd871091c899c2330cd5c1134c7e6e1aac55457170bdd3d2b460f4690603ae",
+    ("End.DX6", 700): "d138c56db0e3817936c0ba86bf63bd0c2470673493657750ef513e11e6bf2d48",
+    ("End.DX6", 1400): "27085612628cf5577a6cd90411f14c1a23f6b3b2c19f4b50eb6dd2f89b55f582",
+    ("PlainIPv4", 64): "43e80b8558528711c5a2c57c0c18e8aff2a55da072a969014754873409696b00",
+    ("PlainIPv4", 700): "8f3b67ff95633218989bb15acee938bff5b566da3fc41285d096aec4e62fb1f6",
+    ("PlainIPv4", 1400): "3ce7163aeebf7616ad2dbeab897ba87ef67bc2adb9ca267d0c6b40b86c02e3e2",
+    ("PlainIPv6", 64): "50bc86fdc0a3d746d27604706f235846aa346924d83533acf74fc4c0069dacdb",
+    ("PlainIPv6", 700): "70fabbd2b085c84586fddf626d6a3b4b4cf7b3d5aec5cd2f855f5c83b2bf78bd",
+    ("PlainIPv6", 1400): "81b94dd7b45729974d55f84433cec14165fcd25a2b7cd9b0d6450afa7e69ea41",
+}
+
+
+@pytest.mark.parametrize(
+    "behavior, size",
+    [(s.id, size) for s in catalog() if s.measured for size in (64, 700, 1400)],
+    ids=lambda v: getattr(v, "value", str(v)),
+)
+def test_offered_and_forwarded_bytes_are_pinned(behavior, size):
+    req = replace(traffic_requirement(behavior), inner_packet_size=size)
+    template = build_test_packet(req, SID_PLAN)
+    forwarded, _ = apply_behavior(behavior, template)
+    assert hashlib.sha256(encode(template)).hexdigest() == OFFERED_SHA256[behavior.value, size]
+    assert hashlib.sha256(encode(forwarded)).hexdigest() == FORWARDED_SHA256[behavior.value, size]
