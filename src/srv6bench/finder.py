@@ -268,32 +268,30 @@ class _Search:
             raise self._aborted(rate, exc) from exc
         return dr, n, n * duration_s
 
-    def probe(self, rate) -> bool:
-        """Evaluate one rate, record it in the trace and say whether it passed.
+    def _entry(self, rate, dr, reps, testbed_s) -> TraceEntry:
+        """A trace entry, decided by the one rule: a DR at the pass mark or over passes."""
+        return TraceEntry(rate, dr, RAISE_LOW if dr >= self.pass_mark else LOWER_HIGH, reps, testbed_s)
 
-        A screen of trial_duration_s / SCREEN_DIVISOR comes first, unless
-        one packet would move its DR by more than a tenth of the near band.
-        It decides the rate when its DR is 1 or outside the near band, or
-        while the search trusts screens. Otherwise the rate is measured at
-        full duration, without the screen in its mean or in the pool.
+    def probe(self, rate) -> bool:
+        """Measure one rate, record it in the trace and say whether it passed.
+
+        A screen of trial_duration_s / SCREEN_DIVISOR measures the rate,
+        unless one packet would move its DR by more than a tenth of the
+        near band; then evaluate_point measures it at full duration.
+        Whether a screen alone may decide the rate is for bisect to say.
         """
-        near_band = self.policy.near_band
         screen_s = self.cfg.trial_duration_s / SCREEN_DIVISOR
-        reps, spent = 0, 0.0
-        if rate * screen_s * near_band >= 10.0:
+        if rate * screen_s * self.policy.near_band >= 10.0:
             try:
                 dr = delivery_ratio(self.driver.run_trial(rate, screen_s))
             except Srv6BenchError as exc:
                 raise self._aborted(rate, exc) from exc
             reps, spent = 1, screen_s
-        if not reps or not (self.trust or _stands_alone(dr, self.pass_mark, near_band)):
-            dr, n, s = self._full(rate)
-            reps, spent = reps + n, spent + s
-        passed = dr >= self.pass_mark
-        self.trace.entries.append(
-            TraceEntry(rate, dr, RAISE_LOW if passed else LOWER_HIGH, reps, spent)
-        )
-        return passed
+        else:
+            dr, reps, spent = self._full(rate)
+        entry = self._entry(rate, dr, reps, spent)
+        self.trace.entries.append(entry)
+        return entry.decision == RAISE_LOW
 
     def confirm(self, i) -> bool:
         """Re-measure trace entry i at full duration if a screen alone
@@ -303,58 +301,60 @@ class _Search:
         if screened.testbed_s >= self.cfg.trial_duration_s:  # a full-duration trial ran
             return False
         dr, n, s = self._full(screened.tx_rate_pps)
-        passed = dr >= self.pass_mark
-        self.trace.entries[i] = TraceEntry(
-            screened.tx_rate_pps, dr, RAISE_LOW if passed else LOWER_HIGH,
-            screened.repetitions + n, screened.testbed_s + s,
-        )
-        return passed != (screened.decision == RAISE_LOW)
+        entry = self._entry(screened.tx_rate_pps, dr, screened.repetitions + n, screened.testbed_s + s)
+        self.trace.entries[i] = entry
+        return entry.decision != screened.decision
 
-    def bounds(self, low, high) -> list[int]:
-        """Indices of the trace entries at the window's bounds, the one whose
-        DR sits nearest the pass mark, so likelier to be overturned, first
-        (ties in trace order): an overturn makes the other's confirmation moot."""
-        entries = self.trace.entries
-        at_bounds = [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
-        return sorted(at_bounds, key=lambda i: abs(entries[i].delivery_ratio - self.pass_mark))
+    def window(self) -> tuple[float, float]:
+        """The highest passed rate in the trace (floor if none passed) and
+        the lowest failed one (top if none failed)."""
+        passed = [e.tx_rate_pps for e in self.trace.entries if e.decision == RAISE_LOW]
+        failed = [e.tx_rate_pps for e in self.trace.entries if e.decision == LOWER_HIGH]
+        return max(passed, default=self.floor), min(failed, default=self.top)
 
     def bisect(self) -> FinderResult:
         """Halve the window around its middle until it is no wider than eps,
-        confirm each final bound a screen decided, and flag the result.
+        confirming the bounds a screen alone decided, and flag the result.
 
-        The window runs from the highest passed rate in the trace (floor if
-        none passed) to the lowest failed one (top if none failed). A
-        confirmation that overturns its screen moves that bound, no trial
-        is spent on the other, and the halving goes on from there. Unless
-        its batch ran to the policy.repetitions cap, which says nothing of
-        the screens, the search then trusts no screen near the threshold
-        and confirms a window bound one alone decided before halving:
-        wrong screens cost full-duration trials, not a search they steer.
-        A search in which no probe failed is flagged line-rate-limited;
-        one in which none passed, below-search-floor.
+        This is the one place screens are distrusted. Once the window is
+        narrow, each bound a screen alone decided is confirmed, nearest the
+        pass mark first. One that overturns its screen moves that bound, no
+        trial is spent on the other, and the halving goes on from there.
+        Unless its batch ran to the policy.repetitions cap, which says
+        nothing of the screens, the search then distrusts screens near the
+        threshold: each near-band bound one alone decided, a fresh probe
+        included, is confirmed before the next halving, so wrong screens
+        cost trials, not a search they steer. A search in which no probe
+        failed is flagged line-rate-limited; one in which none passed,
+        below-search-floor.
         """
         entries, near_band = self.trace.entries, self.policy.near_band
+        low, high = self.window()
         while True:
-            low = max([e.tx_rate_pps for e in entries if e.decision == RAISE_LOW], default=self.floor)
-            high = min([e.tx_rate_pps for e in entries if e.decision == LOWER_HIGH], default=self.top)
-            # a confirmation rewrites only its own entry, so the others are read as they were
-            if not self.trust and any(
-                self.confirm(i)
-                for i in self.bounds(low, high)
-                if not _stands_alone(entries[i].delivery_ratio, self.pass_mark, near_band)
-            ):
-                continue
-            while high - low > self.eps:
-                tx = (low + high) / 2.0
-                if self.probe(tx):
-                    low = tx
-                else:
-                    high = tx
-            overturned = next((i for i in self.bounds(low, high) if self.confirm(i)), None)
-            if overturned is None:
-                break
-            # its screen, then a batch that ran to the cap, keeps the screens trusted
-            self.trust = self.trust and entries[overturned].repetitions > self.policy.repetitions
+            narrow = high - low <= self.eps
+            if narrow or not self.trust:
+                at_bounds = [i for i, e in enumerate(entries) if e.tx_rate_pps in (low, high)]
+                # nearest the pass mark, likeliest overturned, first (ties in trace order)
+                at_bounds.sort(key=lambda i: abs(entries[i].delivery_ratio - self.pass_mark))
+                to_confirm = [i for i in at_bounds if not (
+                    self.trust or _stands_alone(entries[i].delivery_ratio, self.pass_mark, near_band)
+                )]
+                if narrow:  # then every bound; confirming one again runs no trial
+                    to_confirm += at_bounds
+                # an overturn makes the rest moot
+                overturned = next((i for i in to_confirm if self.confirm(i)), None)
+                if overturned is not None:
+                    # its screen, then a batch that ran to the cap, keeps the screens trusted
+                    self.trust = self.trust and entries[overturned].repetitions > self.policy.repetitions
+                    low, high = self.window()
+                    continue
+                if narrow:
+                    break
+            tx = (low + high) / 2.0
+            if self.probe(tx):
+                low = tx
+            else:
+                high = tx
         flags = ()
         if len({e.decision for e in entries}) == 1:  # no probe failed, or none passed
             passed = entries[0].decision == RAISE_LOW

@@ -14,6 +14,7 @@ from __future__ import annotations
 import datetime
 import functools
 import io
+import math
 import csv as csv_mod
 from collections import abc
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -462,8 +463,8 @@ class CampaignResult:
 
 
 def _number(value, key: str):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} is not a number: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} is not a finite number: {value!r}")
     return value
 
 
@@ -481,6 +482,8 @@ def _render_row(row, forwarder) -> tuple[list, Optional[str]]:
     flags, error = row["flags"], row["error"]
     if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
         raise ValueError(f"flags is not a list of strings: {flags!r}")
+    if error is not None and not isinstance(error, str):
+        raise ValueError(f"error is neither null nor a string: {error!r}")
     cells = [
         behavior,
         forwarder,
@@ -513,10 +516,12 @@ def render_campaign(doc, fmt: str) -> str:
     """
     try:
         forwarder = doc["forwarder"]
+        if not isinstance(forwarder, str):
+            raise ValueError(f"forwarder is not a string: {forwarder!r}")
         rows = [_render_row(row, forwarder) for row in doc["behaviors"]]
     except KeyError as exc:
         raise ConfigError(f"campaign: malformed document: missing key {exc}") from None
-    except (TypeError, ValueError, Srv6BenchError) as exc:
+    except (TypeError, ValueError, OverflowError, Srv6BenchError) as exc:
         raise ConfigError(f"campaign: malformed document: {exc}") from None
     if fmt == "table":
         return "".join(f"{line}\n" for _, line in rows if line)

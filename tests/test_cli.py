@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -441,6 +442,21 @@ class TestRun:
                 "packet: {inner_kind: ipv4}\n", TESTBED,
                 "experiment.packet: unknown key(s) ['inner_kind']", id="inner_kind-removed",
             ),
+            # each range rule of a dataclass, reported at its key
+            pytest.param("runs: 0\n", TESTBED, "experiment.runs", id="runs-zero"),
+            pytest.param(
+                "experiment_type: foo\n", TESTBED, "experiment.experiment_type", id="experiment_type-unknown",
+            ),
+            pytest.param(
+                "policy: {repetitions: 1}\n", TESTBED, "experiment.policy.repetitions", id="repetitions-one",
+            ),
+            pytest.param(
+                "policy: {retry_cap: 0}\n", TESTBED, "experiment.policy.retry_cap", id="retry_cap-zero",
+            ),
+            pytest.param(
+                "search: {loss_threshold: 1}\n", TESTBED, "experiment.search.loss_threshold",
+                id="loss_threshold-one",
+            ),
         ],
     )
     def test_invalid_value_exits_2_and_writes_nothing(
@@ -707,10 +723,19 @@ class TestOtherCommands:
             campaign_doc(flags="ab"),
             campaign_doc(pdr_low_pps=812371.0, pdr_high_pps=759250.5),
             campaign_doc(behavior="End.Nope"),
+            # Python's json reads NaN and Infinity, which run never writes
+            campaign_doc(pdr_low_pps=math.nan),
+            campaign_doc(pdr_low_pps=math.inf, pdr_high_pps=math.inf),
+            campaign_doc(stats={"mean_pps": 785810.5, "cv_percent": math.inf, "ci95_percent": 0.3, "n": 10}),
+            campaign_doc(pdr_high_pps=10**400),
+            campaign_doc(error=5),
+            json.dumps(dict(json.loads(campaign_doc()), forwarder=["x"])),
         ],
         ids=[
             "missing-keys", "list", "bounds-str", "stat-str", "flags-str",
             "bounds-out-of-order", "unknown-behavior",
+            "bounds-nan", "bounds-inf", "stat-inf", "bounds-int-overflow",
+            "error-int", "forwarder-list",
         ],
     )
     def test_report_malformed_campaign(self, doc, tmp_path, capsys):

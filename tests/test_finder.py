@@ -169,6 +169,39 @@ class TestEvaluatePoint:
                 early += used < self.POLICY.repetitions
         assert early <= 0.15 * batches
 
+    def test_the_early_stop_shares_the_readme_quotes(self):
+        # criterion 6's model at the exact threshold rate, 2000 seeds. A
+        # search's first near-band batch stops before policy.repetitions on
+        # its own in 245 of 1967 seeds; a second batch at the same rate, on
+        # the spread the first pooled, in 325 of 1944. README quotes both
+        rate = analytic_pdr(ForwarderModel({END: 5_000_000}), END, 0.005)
+
+        class FirstDr:
+            def __init__(self, inner):
+                self.inner, self.drs = inner, []
+
+            def run_trial(self, rate_pps, duration_s):
+                sample = self.inner.run_trial(rate_pps, duration_s)
+                self.drs.append(delivery_ratio(sample))
+                return sample
+
+        def in_band(dr):
+            return dr != 1.0 and abs(dr - 0.995) <= self.POLICY.near_band
+
+        standalone, pooled = [0, 0], [0, 0]
+        for seed in range(2000):
+            m = ForwarderModel({END: 5_000_000}, noise_sigma=0.001, seed=seed)
+            d, pool = FirstDr(SimDriver(m, END, TEMPLATE)), SpreadPool()
+            for counts in (standalone, pooled):
+                d.drs = []
+                _, used = evaluate_point(d, rate, 10.0, 0.005, self.POLICY, pool)
+                if not in_band(d.drs[0]):
+                    break
+                counts[0] += 1
+                counts[1] += used < self.POLICY.repetitions
+        assert standalone == [1967, 245]
+        assert pooled == [1944, 325]
+
     def test_seeded_heavy_noise_is_unstable(self):
         # sigma 0.2 swamps the 1% CV cap; the seed is the first whose first
         # draw lands inside the band, so the repetition path actually runs
@@ -575,6 +608,40 @@ class TestScreening:
         assert result.interval == honest.interval
         assert result.flags == honest.flags == ()
         assert (d.trials, d.seconds) == cost
+
+    def test_an_abort_keeps_the_screen_of_a_distrusted_near_band_rate(self):
+        # every screen reads 0.002 high: the first confirmation overturns
+        # its screen in 2 trials, and the search stops trusting screens.
+        # The next near-band rate, 4105855 pps, is screened, then confirmed
+        # at full duration while the window is still wider than eps. When
+        # that confirmation's first trial, the search's 14th, fails, the
+        # partial trace keeps every rate a trial ran at, that rate's screen
+        # last, as an aborted final confirmation does
+        lpr = 10e9 / (8.0 * (158 + 24))  # End's 158 B frame
+        full_s = self.CFG.trial_duration_s
+
+        class FailsAt14th:
+            def __init__(self):
+                self.inner = ScreensReadOff(sim_driver(5_000_000), 0.002)
+                self.calls = []
+
+            def run_trial(self, rate_pps, duration_s):
+                self.calls.append((rate_pps, duration_s))
+                if len(self.calls) == 14:
+                    raise Srv6BenchError("link down")
+                return self.inner.run_trial(rate_pps, duration_s)
+
+        d = FailsAt14th()
+        with pytest.raises(ExperimentAbortedError) as info:
+            find_pdr(d, lpr)
+        (rate, screen_s), failed = d.calls[-2:]
+        assert (round(rate), screen_s, failed) == (4105855, full_s / 10, (rate, full_s))
+        assert str(info.value) == f"search aborted at {rate:.0f} pps: link down"
+        (trace,) = info.value.traces
+        assert [e.tx_rate_pps for e in trace.entries] == list(dict.fromkeys(r for r, _ in d.calls))
+        last = trace.entries[-1]
+        assert (last.tx_rate_pps, last.repetitions, last.testbed_s) == (rate, 1, screen_s)
+        assert abs(last.delivery_ratio - (1.0 - self.CFG.loss_threshold)) <= TrialPolicy().near_band
 
     def test_the_bound_nearer_the_pass_mark_is_confirmed_first(self):
         # the first halving ends between an older high bound, whose screen

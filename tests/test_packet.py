@@ -185,6 +185,79 @@ class TestDecodeRejectsGarbage:
             decode(bytes(raw))
 
 
+def _edited(raw: bytes, edits: dict) -> bytes:
+    """raw with the byte at each offset of edits replaced by its value."""
+    data = bytearray(raw)
+    for offset, value in edits.items():
+        data[offset] = value
+    return bytes(data)
+
+
+# End's test packet: Ethernet (14 B), outer IPv6 (40 B, payload length at
+# 18-19), then the SRH: hdr ext len at 55, segments left at 57, last entry at 58
+END_WIRE = encode(build_test_packet(traffic_requirement(BehaviorId.END), [SID1, SID2]))
+IPV4_WIRE = encode(build_test_packet(traffic_requirement(BehaviorId.PLAIN_IPV4), []))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_edited(END_WIRE[:58], {18: 0, 19: 4}), "truncated routing header"),
+        (_edited(END_WIRE, {55: 3}), "inconsistent SRH extension length"),
+        (_edited(END_WIRE, {57: 2}), "segments left exceeds last entry"),
+        (_edited(END_WIRE, {55: 254, 58: 126}), "truncated SRH segment list"),
+        (_edited(IPV4_WIRE, {14: 0x46}), "unsupported IPv4 version/IHL"),
+    ],
+    ids=["srh-truncated", "srh-odd-length", "segments-left-too-big", "sids-truncated", "ipv4-ihl"],
+)
+def test_decode_refuses_a_malformed_header(data, message):
+    with pytest.raises(Srv6BenchError, match=f"^{message}$"):
+        decode(data)
+
+
+IPV6_PACKET = build_test_packet(traffic_requirement(BehaviorId.PLAIN_IPV6), [])
+IPV4_PACKET = build_test_packet(traffic_requirement(BehaviorId.PLAIN_IPV4), [])
+
+
+@pytest.mark.parametrize(
+    "behavior, template, cfg, message",
+    [
+        (
+            BehaviorId.H_ENCAPS, PacketTemplate((Ethernet(), Payload(b"\x00" * 46))),
+            BehaviorConfig(segments=(SID1,)), "encap needs an inner IP packet",
+        ),
+        (BehaviorId.H_INSERT, IPV6_PACKET, BehaviorConfig(), "headend behavior needs a SID list"),
+        (
+            BehaviorId.H_INSERT, IPV4_PACKET, BehaviorConfig(segments=(SID1, SID2)),
+            "SRH insertion needs an IPv6 packet",
+        ),
+        (BehaviorId.PLAIN_IPV6, IPV4_PACKET, None, "expected an IPv6 packet"),
+        (BehaviorId.PLAIN_IPV4, IPV6_PACKET, None, "expected an IPv4 packet"),
+    ],
+    ids=["encap-no-ip", "insert-no-sids", "insert-ipv4", "plain6-on-ipv4", "plain4-on-ipv6"],
+)
+def test_a_transform_refuses_a_packet_it_cannot_forward(behavior, template, cfg, message):
+    with pytest.raises(Srv6BenchError, match=f"^{message}$"):
+        apply_behavior(behavior, template, cfg)
+
+
+@pytest.mark.parametrize(
+    "template, req",
+    [
+        # End's packet carries 2 SIDs
+        (decode(END_WIRE), replace(traffic_requirement(BehaviorId.END), min_sids=3)),
+        # Segments Left 0: the active SID is the last one
+        (decode(_edited(END_WIRE, {57: 0})), traffic_requirement(BehaviorId.END)),
+        # the SRH announces an inner IPv6 packet
+        (decode(END_WIRE), replace(traffic_requirement(BehaviorId.END), inner_kind=InnerKind.IPV4)),
+    ],
+    ids=["too-few-sids", "active-sid-last", "wrong-inner-next-header"],
+)
+def test_satisfies_refuses_an_srv6_packet_short_of_the_requirement(template, req):
+    # End's own packet satisfies End's requirement (test_every_measured_behavior_packet)
+    assert satisfies(template, req) is False
+
+
 @pytest.mark.parametrize(
     "behavior, message",
     [
