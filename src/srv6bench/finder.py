@@ -239,8 +239,11 @@ def evaluate_point(
 
 class _Search:
     """One PDR search: its driver, config and policy; its window (floor,
-    top and goal width eps) and pass mark; its trace and spread pool; and
-    whether it still trusts screens near the threshold."""
+    top and goal width eps) and pass mark; its trace and spread pool; the
+    trials of the measurement under way; and whether it still trusts
+    screens near the threshold."""
+
+    UNMEASURED = TraceEntry(0.0, math.nan, "", 0, 0.0)  # what a new entry adds to
 
     def __init__(self, driver, lpr, cfg, policy):
         self.driver, self.policy = driver, policy or TrialPolicy()
@@ -249,61 +252,58 @@ class _Search:
         self.top = lpr * cfg.max_percent / 100.0
         self.eps = lpr * cfg.accuracy_percent / 100.0
         self.pass_mark = 1.0 - cfg.loss_threshold
-        self.trace, self.pool, self.trust = FinderTrace(), SpreadPool(), True
+        self.trace, self.pool, self.trust, self.trials = FinderTrace(), SpreadPool(), True, 0
 
-    def _aborted(self, rate, exc) -> ExperimentAbortedError:
-        """The error that aborts the search at `rate`, carrying its trace."""
-        return ExperimentAbortedError(
-            f"search aborted at {rate:.0f} pps: {exc}", traces=(self.trace,)
-        )
+    def run_trial(self, rate, duration_s):
+        """The driver's trial, counted in self.trials: every trial of the search runs here."""
+        sample = self.driver.run_trial(rate, duration_s)
+        self.trials += 1
+        return sample
 
-    def _full(self, rate) -> tuple[float, int, float]:
-        """evaluate_point at `rate` and full duration: its DR, trials and testbed-s."""
-        duration_s = self.cfg.trial_duration_s
+    def measure(self, rate, full, i=None) -> TraceEntry:
+        """Measure `rate` with one screen or, if full, one evaluate_point
+        batch run through run_trial. Record and return its entry, passed at
+        the pass mark or over: new, or entry i with the new trials added. A
+        failure aborts the search; entry i keeps its DR and gains the trials."""
+        duration_s = self.cfg.trial_duration_s / (1 if full else SCREEN_DIVISOR)
+        base = self.UNMEASURED if i is None else self.trace.entries[i]
+        self.trials, failure = 0, None
         try:
-            dr, n = evaluate_point(
-                self.driver, rate, duration_s, self.cfg.loss_threshold, self.policy, self.pool
-            )
+            if full:
+                dr = evaluate_point(self, rate, duration_s, self.cfg.loss_threshold, self.policy, self.pool)[0]
+            else:
+                dr = delivery_ratio(self.run_trial(rate, duration_s))
         except Srv6BenchError as exc:
-            raise self._aborted(rate, exc) from exc
-        return dr, n, n * duration_s
-
-    def _entry(self, rate, dr, reps, testbed_s) -> TraceEntry:
-        """A trace entry, decided by the one rule: a DR at the pass mark or over passes."""
-        return TraceEntry(rate, dr, RAISE_LOW if dr >= self.pass_mark else LOWER_HIGH, reps, testbed_s)
+            dr, failure = base.delivery_ratio, exc
+        reps, spent = base.repetitions + self.trials, base.testbed_s + self.trials * duration_s
+        entry = TraceEntry(rate, dr, RAISE_LOW if dr >= self.pass_mark else LOWER_HIGH, reps, spent)
+        if i is not None:
+            self.trace.entries[i] = entry
+        elif failure is None:
+            self.trace.entries.append(entry)
+        if failure is not None:
+            message = f"search aborted at {rate:.0f} pps: {failure}"
+            raise ExperimentAbortedError(message, traces=(self.trace,)) from failure
+        return entry
 
     def probe(self, rate) -> bool:
-        """Measure one rate, record it in the trace and say whether it passed.
-
-        A screen of trial_duration_s / SCREEN_DIVISOR measures the rate,
-        unless one packet would move its DR by more than a tenth of the
-        near band; then evaluate_point measures it at full duration.
-        Whether a screen alone may decide the rate is for bisect to say.
-        """
+        """Measure one rate, record it in the trace and say whether it passed:
+        with a screen, unless one packet would move its DR by more than a
+        tenth of the near band. Whether a screen alone may decide the rate
+        is for bisect to say."""
         screen_s = self.cfg.trial_duration_s / SCREEN_DIVISOR
-        if rate * screen_s * self.policy.near_band >= 10.0:
-            try:
-                dr = delivery_ratio(self.driver.run_trial(rate, screen_s))
-            except Srv6BenchError as exc:
-                raise self._aborted(rate, exc) from exc
-            reps, spent = 1, screen_s
-        else:
-            dr, reps, spent = self._full(rate)
-        entry = self._entry(rate, dr, reps, spent)
-        self.trace.entries.append(entry)
-        return entry.decision == RAISE_LOW
+        full = rate * screen_s * self.policy.near_band < 10.0
+        return self.measure(rate, full).decision == RAISE_LOW
 
     def confirm(self, i) -> bool:
         """Re-measure trace entry i at full duration if a screen alone
         decided it, and say whether that overturned the screen. The result
-        replaces the entry, which keeps counting every trial and second."""
+        replaces the entry, which keeps counting every trial and second,
+        an aborted confirmation's too."""
         screened = self.trace.entries[i]
         if screened.testbed_s >= self.cfg.trial_duration_s:  # a full-duration trial ran
             return False
-        dr, n, s = self._full(screened.tx_rate_pps)
-        entry = self._entry(screened.tx_rate_pps, dr, screened.repetitions + n, screened.testbed_s + s)
-        self.trace.entries[i] = entry
-        return entry.decision != screened.decision
+        return self.measure(screened.tx_rate_pps, True, i).decision != screened.decision
 
     def window(self) -> tuple[float, float]:
         """The highest passed rate in the trace (floor if none passed) and

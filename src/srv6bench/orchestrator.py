@@ -437,6 +437,7 @@ class CampaignResult:
             "finished_at": self.finished_at,
             # CI95 half-widths use the Student-t factor t_95(n - 1)
             "ci95_model": "student-t",
+            "stop_model": "student-t-95-per-look",
             "behaviors": [
                 {
                     "behavior": e.behavior.value,

@@ -532,10 +532,12 @@ def run_shipped(noise_sigma, tmp_path):
 # 11 testbed-s, where it was 3 and 21), and every noisy output changed,
 # because the searches take fewer noise draws. The noiseless campaign.csv,
 # campaign.json and plot_data.csv did not change.
+# Re-recorded when campaign.json came to name its stop rule: both
+# campaign.json files changed in "stop_model" alone.
 PINNED_OUTPUTS = {
     "noiseless": {
         "campaign.csv": "8d2318011194ebcc6180387e283a64a8327b5b7e19ded198997d6833eff38fd3",
-        "campaign.json": "5788b866100a2d47daab352a60206c65bd1967498441fece99e283926361113b",
+        "campaign.json": "cb87f5bcc5239ed22da6aacab7f81049209091ca81a6bd8bdd27400b709fd654",
         "plot_data.csv": "3de43cd009041070fb435f59fea170a8897608f92303b363bcf90dee9d83a2ed",
         "trace_End.json": "8f7ec2f771ad79960e0ffbeb1ebe5d4fd7df862027c1954becc29f32440296c0",
         "trace_End_DT6.json": "e650514a20f5a4adca7892bdfc933ca4e82ec6fdb79e768df8912ac9ae0a5c4d",
@@ -544,7 +546,7 @@ PINNED_OUTPUTS = {
     },
     "noisy": {
         "campaign.csv": "8f4236e6f1212028477387027cbb8413f62dbaf5c26d7876acaf1e9bd709ccaf",
-        "campaign.json": "ca32b8c4c93b93bd43f24ba150c6ac4c7532f12bdc6958b6ac0b1ff3dd02e189",
+        "campaign.json": "cab49bb1bb160252d1a22cdfd4caadd177ad71e24954b5a107ca8f9efb4cb232",
         "plot_data.csv": "d863cc85f0c0c1f89d4b4bc3bee4c8bb3516ad899422ce7c67a5ee734a8fdb7b",
         "trace_End.json": "c07041009702b639ccb208a393d2fa1b82fee2d75b7a483a26b426d3afa9a2e9",
         "trace_End_DT6.json": "eba34d86c03c50d71fb0bae7c75adcf149c9e0ab3ca4efaa91945d649b61f08a",

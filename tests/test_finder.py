@@ -643,6 +643,43 @@ class TestScreening:
         assert (last.tx_rate_pps, last.repetitions, last.testbed_s) == (rate, 1, screen_s)
         assert abs(last.delivery_ratio - (1.0 - self.CFG.loss_threshold)) <= TrialPolicy().near_band
 
+    @pytest.mark.parametrize(
+        "cause, reps, testbed_s", [("link down", 2, 11.0), ("unstable", 16, 151.0)]
+    )
+    def test_an_aborted_confirmation_keeps_the_trials_it_ran(self, cause, reps, testbed_s):
+        # every screen reads 0.002 high, and the search's 8th trial is the
+        # first confirmation's first, at 4583941 pps. "link down" fails the
+        # 9th trial; "unstable" swings rx by 30 % on every full-duration
+        # trial, so the confirmation runs retry_cap batches of 5 and gives
+        # up. The confirmed entry keeps its screen's DR and decision and
+        # gains every trial that returned a sample, so the partial trace
+        # counts them all
+        lpr = 10e9 / (8.0 * (158 + 24))  # End's 158 B frame
+        full_s = self.CFG.trial_duration_s
+        inner = ScreensReadOff(sim_driver(5_000_000), 0.002)
+        swing = itertools.cycle([0.995, 0.7])
+        durations = []
+
+        class Failing:
+            def run_trial(self, rate_pps, duration_s):
+                if cause == "link down" and len(durations) == 8:
+                    raise Srv6BenchError("link down")
+                durations.append(duration_s)
+                if cause == "unstable" and duration_s == full_s:
+                    tx = round(rate_pps * duration_s)
+                    return TrialSample(tx, round(tx * next(swing)), duration_s)
+                return inner.run_trial(rate_pps, duration_s)
+
+        with pytest.raises(ExperimentAbortedError, match="^search aborted at 4583941 pps: ") as info:
+            find_pdr(Failing(), lpr)
+        (trace,) = info.value.traces
+        assert sum(e.repetitions for e in trace.entries) == len(durations)
+        assert math.fsum(e.testbed_s for e in trace.entries) == math.fsum(durations)
+        confirmed = trace.entries[-1]
+        assert round(confirmed.tx_rate_pps) == 4583941
+        assert (round(confirmed.delivery_ratio, 5), confirmed.decision) == (0.99494, "lower-high")
+        assert (confirmed.repetitions, confirmed.testbed_s) == (reps, testbed_s)
+
     def test_the_bound_nearer_the_pass_mark_is_confirmed_first(self):
         # the first halving ends between an older high bound, whose screen
         # read 0.98, and a newer low bound, whose screen read 0.996, 0.001

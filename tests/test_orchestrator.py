@@ -728,15 +728,18 @@ def _assert_kept_runs(entry, clean, per_search, rates, failed_at):
 def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
     """Wherever a trial raises, run_campaign records one error, tears the
     behavior down last and keeps the finished runs, then the partial one
-    if it probed a rate."""
+    if it probed a rate. The kept runs count every trial that returned a
+    sample, and its seconds."""
     experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=runs)
     (search,) = run_campaign(dataclasses.replace(experiment, runs=1), sim_testbed()).entries[0].traces
     per_search = sum(e.repetitions for e in search.entries)
     fail_at = data.draw(st.integers(min_value=0, max_value=runs * per_search - 1))
+    durations = []
 
     def fail(n, rate_pps, duration_s):
         if n == fail_at:
             raise Srv6BenchError("link down")
+        durations.append(duration_s)
 
     executor = RecordingExecutor()
     result, rates = _campaign_failing_at(experiment, sim_testbed(), fail, executor)
@@ -744,6 +747,9 @@ def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
     assert entry.error == f"search aborted at {rates[fail_at]:.0f} pps: link down"
     assert executor.commands[-1] == "sim clear-behavior End"
     _assert_kept_runs(entry, (search,) * runs, per_search, rates, fail_at)
+    kept = [e for t in entry.traces for e in t.entries]
+    assert sum(e.repetitions for e in kept) == len(durations) == fail_at
+    assert math.fsum(e.testbed_s for e in kept) == math.fsum(durations)
 
 
 # A stored campaign with one End row, and any JSON shape in its place or at
