@@ -260,19 +260,19 @@ class _Search:
         self.trials += 1
         return sample
 
-    def measure(self, rate, full, i=None) -> TraceEntry:
-        """Measure `rate` with one screen or, if full, one evaluate_point
-        batch run through run_trial. Record and return its entry, passed at
-        the pass mark or over: new, or entry i with the new trials added. A
-        failure aborts the search; entry i keeps its DR and gains the trials."""
-        duration_s = self.cfg.trial_duration_s / (1 if full else SCREEN_DIVISOR)
+    def measure(self, rate, i=None) -> TraceEntry:
+        """Screen `rate`, or confirm entry i with one full-duration
+        evaluate_point batch run through run_trial. Record and return the
+        entry, passed at the pass mark or over: new, or entry i with the new
+        trials added. A failure aborts the search; entry i keeps its DR."""
+        duration_s = self.cfg.trial_duration_s / (SCREEN_DIVISOR if i is None else 1)
         base = self.UNMEASURED if i is None else self.trace.entries[i]
         self.trials, failure = 0, None
         try:
-            if full:
-                dr = evaluate_point(self, rate, duration_s, self.cfg.loss_threshold, self.policy, self.pool)[0]
-            else:
+            if i is None:
                 dr = delivery_ratio(self.run_trial(rate, duration_s))
+            else:
+                dr = evaluate_point(self, rate, duration_s, self.cfg.loss_threshold, self.policy, self.pool)[0]
         except Srv6BenchError as exc:
             dr, failure = base.delivery_ratio, exc
         reps, spent = base.repetitions + self.trials, base.testbed_s + self.trials * duration_s
@@ -287,13 +287,10 @@ class _Search:
         return entry
 
     def probe(self, rate) -> bool:
-        """Measure one rate, record it in the trace and say whether it passed:
-        with a screen, unless one packet would move its DR by more than a
-        tenth of the near band. Whether a screen alone may decide the rate
-        is for bisect to say."""
-        screen_s = self.cfg.trial_duration_s / SCREEN_DIVISOR
-        full = rate * screen_s * self.policy.near_band < 10.0
-        return self.measure(rate, full).decision == RAISE_LOW
+        """Screen one rate, record it in the trace and say whether it
+        passed. Whether the screen alone may decide the rate is for bisect
+        to say."""
+        return self.measure(rate).decision == RAISE_LOW
 
     def confirm(self, i) -> bool:
         """Re-measure trace entry i at full duration if a screen alone
@@ -303,7 +300,7 @@ class _Search:
         screened = self.trace.entries[i]
         if screened.testbed_s >= self.cfg.trial_duration_s:  # a full-duration trial ran
             return False
-        return self.measure(screened.tx_rate_pps, True, i).decision != screened.decision
+        return self.measure(screened.tx_rate_pps, i).decision != screened.decision
 
     def window(self) -> tuple[float, float]:
         """The highest passed rate in the trace (floor if none passed) and

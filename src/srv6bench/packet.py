@@ -484,7 +484,6 @@ _INNER_NEXT_HEADER = {
 _INNER_ETHERTYPE = {
     InnerKind.IPV6: ETHERTYPE_IPV6,
     InnerKind.IPV4: ETHERTYPE_IPV4,
-    InnerKind.ETHERNET: ETHERTYPE_IPV6,
 }
 
 

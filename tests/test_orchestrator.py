@@ -729,8 +729,13 @@ def test_a_failing_trial_aborts_its_search_and_keeps_its_runs(runs, data):
     """Wherever a trial raises, run_campaign records one error, tears the
     behavior down last and keeps the finished runs, then the partial one
     if it probed a rate. The kept runs count every trial that returned a
-    sample, and its seconds."""
-    experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=runs)
+    sample, and its seconds, at 10 s trials and at 2.4 ms ones, whose
+    screens offer so few packets that one moves a DR by over a tenth of
+    the near band."""
+    # 10 / 4096 s and its tenth are exact in binary, so seconds add up exactly
+    trial_duration_s = data.draw(st.sampled_from([10.0, 10 / 4096]))
+    search_cfg = SearchConfig(trial_duration_s=trial_duration_s)
+    experiment = ExperimentConfig(behaviors=(BehaviorId.END,), runs=runs, search=search_cfg)
     (search,) = run_campaign(dataclasses.replace(experiment, runs=1), sim_testbed()).entries[0].traces
     per_search = sum(e.repetitions for e in search.entries)
     fail_at = data.draw(st.integers(min_value=0, max_value=runs * per_search - 1))
